@@ -57,9 +57,9 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # Streaming-scale smoke: n=10⁵ build+validate through the streaming
-# pipeline at -build-shards 1 and GOMAXPROCS, under a hard Go heap budget.
+# pipeline at validator -shards 1 and nproc, under a hard Go heap budget.
 # Asserts peak resident chunk bytes stay within budget + one open chunk and
-# that the stream fingerprints are byte-identical across shard counts (see
+# that both runs report the pinned stream fingerprint 77a7ccec037bea7f (see
 # scripts/bigsim_smoke.sh).
 bigsim-smoke:
 	sh scripts/bigsim_smoke.sh

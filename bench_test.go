@@ -642,28 +642,20 @@ func BenchmarkStreamingPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, buildShards := range []int{1, 4} {
-		name := "build-shards=1"
-		if buildShards != 1 {
-			name = "build-shards=4"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last *StreamRunReport
-			for i := 0; i < b.N; i++ {
-				chunks := NewChunkedLog(ChunkedLogOptions{TargetChunkBytes: 64 << 10, MemBudgetBytes: 128 << 10})
-				rep, err := RunStreamingEmbedding(guest, host, nil, 2, StreamRunConfig{
-					Shards: 2, BuildShards: buildShards, Window: 8, Chunks: chunks,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := chunks.Close(); err != nil {
-					b.Fatal(err)
-				}
-				last = rep
-			}
-			b.ReportMetric(last.Slowdown, "slowdown")
-			b.ReportMetric(float64(last.PeakChunkBytes), "peak-chunk-bytes")
+	var last *StreamRunReport
+	for i := 0; i < b.N; i++ {
+		chunks := NewChunkedLog(ChunkedLogOptions{TargetChunkBytes: 64 << 10, MemBudgetBytes: 128 << 10})
+		rep, err := RunStreamingEmbedding(guest, host, nil, 2, StreamRunConfig{
+			Shards: 2, Window: 8, Chunks: chunks,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := chunks.Close(); err != nil {
+			b.Fatal(err)
+		}
+		last = rep
 	}
+	b.ReportMetric(last.Slowdown, "slowdown")
+	b.ReportMetric(float64(last.PeakChunkBytes), "peak-chunk-bytes")
 }

@@ -6,6 +6,8 @@
 //
 //	BenchmarkE1Suite-8   	      12	  95310417 ns/op	 4240168 B/op	   31456 allocs/op
 //
+// Custom b.ReportMetric columns may sit between ns/op and B/op; they are
+// skipped, and the -benchmem columns are read wherever they appear.
 // Everything else (pass/fail markers, package headers, goos/goarch banners)
 // is ignored. The trailing -N GOMAXPROCS suffix is stripped so baselines
 // compare across machines. Output is a single indented JSON object sorted by
@@ -47,10 +49,12 @@ type Measurement struct {
 	Iterations  int64   `json:"iterations"`
 }
 
-// benchLine matches a `testing.B` result row. ns/op is mandatory; the
-// -benchmem columns are optional so plain `-bench` output still parses.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S*)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// benchLine matches a `testing.B` result row: name, iteration count, then
+// the measurement columns as "value unit" pairs. ns/op comes first, but
+// b.ReportMetric columns sit between it and the -benchmem columns, so
+// parse reads every column by its unit. ns/op is mandatory; B/op and
+// allocs/op are optional so plain `-bench` output still parses.
+var benchLine = regexp.MustCompile(`^(Benchmark\S*)\s+(\d+)\s+(.*)$`)
 
 // gomaxprocsSuffix is the trailing -N the testing package appends to the
 // benchmark name when GOMAXPROCS > 1.
@@ -69,16 +73,26 @@ func parse(r io.Reader) (map[string]Measurement, error) {
 		}
 		name := gomaxprocsSuffix.ReplaceAllString(m[1], "")
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
+		meas := Measurement{Iterations: iters}
+		hasNs := false
+		cols := strings.Fields(m[3])
+		for k := 0; k+1 < len(cols); k += 2 {
+			val := cols[k]
+			switch cols[k+1] {
+			case "ns/op":
+				ns, err := strconv.ParseFloat(val, 64)
+				if err != nil {
+					return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
+				}
+				meas.NsPerOp, hasNs = ns, true
+			case "B/op":
+				meas.BytesPerOp, _ = strconv.ParseInt(val, 10, 64)
+			case "allocs/op":
+				meas.AllocsPerOp, _ = strconv.ParseInt(val, 10, 64)
+			}
 		}
-		meas := Measurement{NsPerOp: ns, Iterations: iters}
-		if m[4] != "" {
-			meas.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			meas.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		if !hasNs {
+			continue
 		}
 		out[name] = meas
 	}

@@ -45,6 +45,23 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseReportMetricColumns: b.ReportMetric columns print between ns/op
+// and the -benchmem columns; B/op and allocs/op must still be read.
+func TestParseReportMetricColumns(t *testing.T) {
+	line := "BenchmarkStreamingPipeline-2         \t     144\t   8592049 ns/op\t    131428 peak-chunk-bytes\t       645.0 slowdown\t 1034943 B/op\t     356 allocs/op\n"
+	got, err := parse(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, ok := got["BenchmarkStreamingPipeline"]
+	if !ok {
+		t.Fatalf("benchmark missing: %v", got)
+	}
+	if sp.NsPerOp != 8592049 || sp.BytesPerOp != 1034943 || sp.AllocsPerOp != 356 || sp.Iterations != 144 {
+		t.Errorf("StreamingPipeline = %+v", sp)
+	}
+}
+
 func TestRunEmitsSortedJSON(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(strings.NewReader(sample), &out); err != nil {

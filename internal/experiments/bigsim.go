@@ -39,10 +39,7 @@ type E24Row struct {
 // butterfly host through the streaming pipeline, one run per guest size,
 // with a chunked archive on a deliberately tight memory budget so the
 // spill path is exercised and the peak-resident bound is measured.
-// buildShards > 1 runs the sharded protocol builder; the deterministic
-// merge keeps the rows (and the runner's determinism gate) byte-identical
-// to a serial build.
-func E24StreamingScale(ctx context.Context, ns []int, guestDeg, hostDim, T, shards, buildShards int, seed int64) ([]E24Row, error) {
+func E24StreamingScale(ctx context.Context, ns []int, guestDeg, hostDim, T, shards int, seed int64) ([]E24Row, error) {
 	reg := obs.FromContext(ctx)
 	host, err := universal.ButterflyHost(hostDim)
 	if err != nil {
@@ -68,11 +65,10 @@ func E24StreamingScale(ctx context.Context, ns []int, guestDeg, hostDim, T, shar
 			Obs:              reg,
 		})
 		rep, err := universal.RunStreamingEmbedding(guest, host.Graph, nil, T, universal.StreamRunConfig{
-			Shards:      shards,
-			BuildShards: buildShards,
-			Window:      8,
-			Chunks:      chunks,
-			Obs:         reg,
+			Shards: shards,
+			Window: 8,
+			Chunks: chunks,
+			Obs:    reg,
 		})
 		if cerr := chunks.Close(); err == nil {
 			err = cerr

@@ -376,7 +376,7 @@ func Registry() []Experiment {
 			Claim:   "Streaming pipeline: slowdown O((n/m)·log m) holds while peak protocol memory stays bounded by the chunk budget, not by T'·ops",
 			Modules: "pebble,universal,topology,obs",
 			Run: func(ctx context.Context, cfg Config) (Result, error) {
-				rows, err := E24StreamingScale(ctx, []int{2000, 6000}, 3, 4, 2, 4, 2, cfg.SeedFor("E24"))
+				rows, err := E24StreamingScale(ctx, []int{2000, 6000}, 3, 4, 2, 4, cfg.SeedFor("E24"))
 				if err != nil {
 					return Result{}, err
 				}

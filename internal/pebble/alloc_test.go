@@ -171,28 +171,3 @@ func TestShardedValidateWarmAllocations(t *testing.T) {
 		t.Errorf("sharded validation allocates %.3f per marginal step (budget 0): steady state regressed", perStep)
 	}
 }
-
-// TestPipeSegmentsWarmAllocations pins the merge stage's warm path: once
-// the slot ring is sized, publishing a step as segments allocates nothing.
-func TestPipeSegmentsWarmAllocations(t *testing.T) {
-	pr, _ := allocFixture(t)
-	pipe := NewPipe(2)
-	segs := make([][]Op, 2)
-	cycle := func() {
-		for _, ops := range pr.Steps {
-			mid := len(ops) / 2
-			segs[0], segs[1] = ops[:mid], ops[mid:]
-			if err := pipe.AppendStepSegments(segs); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pipe.NextStep(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	cycle() // warm every slot to its final size
-	avg := testing.AllocsPerRun(200, cycle)
-	if perStep := avg / float64(len(pr.Steps)); perStep > 0 {
-		t.Errorf("warm segment cycle allocates %.3f/step (budget 0): slot reuse regressed", perStep)
-	}
-}

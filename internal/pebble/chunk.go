@@ -23,8 +23,9 @@ import (
 // lossless for any Op value (corrupted or adversarial protocols round-trip
 // too, which the fuzz target exercises); well-formed ops cost ~5–8 bytes.
 
-// appendOpsBytes encodes a run of ops (no count prefix) onto dst.
-func appendOpsBytes(dst []byte, ops []Op) []byte {
+// appendStepBytes encodes one step onto dst.
+func appendStepBytes(dst []byte, ops []Op) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ops)))
 	for _, op := range ops {
 		dst = binary.AppendVarint(dst, int64(op.Kind))
 		dst = binary.AppendVarint(dst, int64(op.Proc))
@@ -33,12 +34,6 @@ func appendOpsBytes(dst []byte, ops []Op) []byte {
 		dst = binary.AppendVarint(dst, int64(op.Peer))
 	}
 	return dst
-}
-
-// appendStepBytes encodes one step onto dst.
-func appendStepBytes(dst []byte, ops []Op) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ops)))
-	return appendOpsBytes(dst, ops)
 }
 
 // minEncodedOpBytes is the smallest possible encoding of one op (five
@@ -149,9 +144,20 @@ func NewChunkedLog(opts ChunkedLogOptions) *ChunkedLog {
 // counts) produced byte-identical protocols.
 func (l *ChunkedLog) Fingerprint() uint64 { return l.fingerprint }
 
-// noteStep finishes one appended step whose encoding starts at byte offset
-// `before` of the current chunk: fingerprint, accounting, sealing.
-func (l *ChunkedLog) noteStep(before int) error {
+// AppendStep encodes and stores one step.
+func (l *ChunkedLog) AppendStep(ops []Op) error {
+	if l.err != nil {
+		return l.err
+	}
+	if l.frozen {
+		l.err = fmt.Errorf("pebble: chunk: append after Source")
+		return l.err
+	}
+	if l.cur == nil {
+		l.cur = make([]byte, 0, l.opts.TargetChunkBytes+l.opts.TargetChunkBytes/8)
+	}
+	before := len(l.cur)
+	l.cur = appendStepBytes(l.cur, ops)
 	fp := l.fingerprint
 	for _, b := range l.cur[before:] {
 		fp = (fp ^ uint64(b)) * fnvPrime
@@ -170,48 +176,6 @@ func (l *ChunkedLog) noteStep(before int) error {
 		l.peakResident = r
 	}
 	return nil
-}
-
-func (l *ChunkedLog) appendReady() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.frozen {
-		l.err = fmt.Errorf("pebble: chunk: append after Source")
-		return l.err
-	}
-	if l.cur == nil {
-		l.cur = make([]byte, 0, l.opts.TargetChunkBytes+l.opts.TargetChunkBytes/8)
-	}
-	return nil
-}
-
-// AppendStep encodes and stores one step.
-func (l *ChunkedLog) AppendStep(ops []Op) error {
-	if err := l.appendReady(); err != nil {
-		return err
-	}
-	before := len(l.cur)
-	l.cur = appendStepBytes(l.cur, ops)
-	return l.noteStep(before)
-}
-
-// AppendStepSegments encodes one step given as ordered sub-slices, byte-
-// identical to AppendStep on their concatenation.
-func (l *ChunkedLog) AppendStepSegments(segs [][]Op) error {
-	if err := l.appendReady(); err != nil {
-		return err
-	}
-	before := len(l.cur)
-	total := 0
-	for _, seg := range segs {
-		total += len(seg)
-	}
-	l.cur = binary.AppendUvarint(l.cur, uint64(total))
-	for _, seg := range segs {
-		l.cur = appendOpsBytes(l.cur, seg)
-	}
-	return l.noteStep(before)
 }
 
 func (l *ChunkedLog) seal() error {

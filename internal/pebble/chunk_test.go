@@ -263,9 +263,6 @@ func TestChunkedLogAppendAfterClose(t *testing.T) {
 	if err := log.AppendStep(step); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
-	if err := log.AppendStepSegments([][]Op{step}); err == nil {
-		t.Fatal("segment append after Close succeeded")
-	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -343,11 +340,11 @@ func TestChunkedLogSpillDirMissing(t *testing.T) {
 }
 
 // TestChunkedLogFingerprint: the fingerprint is a pure function of the
-// encoded stream — identical for AppendStep and AppendStepSegments of the
-// same steps, different once the stream differs.
+// encoded stream — identical for two encodings of the same steps, different
+// once the stream differs.
 func TestChunkedLogFingerprint(t *testing.T) {
 	pr := streamFixture(t)
-	encode := func(split bool) uint64 {
+	encode := func() uint64 {
 		log := NewChunkedLog(ChunkedLogOptions{TargetChunkBytes: 128})
 		src := pr.Source()
 		for {
@@ -355,23 +352,18 @@ func TestChunkedLogFingerprint(t *testing.T) {
 			if err != nil {
 				break
 			}
-			if split {
-				mid := len(ops) / 2
-				if err := log.AppendStepSegments([][]Op{ops[:mid], ops[mid:]}); err != nil {
-					t.Fatal(err)
-				}
-			} else if err := log.AppendStep(ops); err != nil {
+			if err := log.AppendStep(ops); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return log.Fingerprint()
 	}
-	whole, split := encode(false), encode(true)
-	if whole != split {
-		t.Fatalf("segment encoding changed the fingerprint: %x vs %x", whole, split)
+	first, second := encode(), encode()
+	if first != second {
+		t.Fatalf("same stream, different fingerprints: %x vs %x", first, second)
 	}
 	empty := NewChunkedLog(ChunkedLogOptions{})
-	if empty.Fingerprint() == whole {
+	if empty.Fingerprint() == first {
 		t.Fatal("fingerprint ignores the stream")
 	}
 }

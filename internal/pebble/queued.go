@@ -26,16 +26,12 @@ import (
 // protocol validates (the tests replay it through both engines); its exact
 // step sequence differs from StreamEmbeddingProtocol's, so it is a distinct
 // builder, not a drop-in replacement where byte-identical output matters.
-//
-// The construction splits into a read-only queuedPlan (shared by the
-// sharded builder's workers) and a ranged stream() core; this function is
-// the serial full-range form.
 func StreamQueuedEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
 	p, err := newQueuedPlan(guest, host, f, T)
 	if err != nil {
 		return err
 	}
-	return p.stream(sink, 0, p.m)
+	return p.stream(sink)
 }
 
 // queuedPlan is the read-only precompute of the queued builder: the
@@ -43,9 +39,6 @@ func StreamQueuedEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sin
 // task template. The template exploits that the distribution tasks for
 // guest step t are identical for every t (only the pebble's T differs), so
 // the per-step arena rebuild of the original builder becomes three copies.
-// A plan is safe for concurrent stream() calls — stream() owns all mutable
-// state — which is what lets the sharded builder run W workers against one
-// plan.
 type queuedPlan struct {
 	guest *graph.Graph
 	host  *graph.Graph
@@ -178,16 +171,9 @@ func newQueuedPlan(guest, host *graph.Graph, f []int, T int) (*queuedPlan, error
 	return p, nil
 }
 
-// stream emits the plan's host-step schedule into sink, restricted to the
-// ops whose acting processor lies in [emitLo, emitHi): a Generate belongs
-// to its generating host, and both ops of a transfer belong to the sending
-// host (the host whose queue scan initiated it). Every global host step
-// produces exactly one AppendStep call — empty sub-steps included — so
-// concatenating the [0,a), [a,b), …, [z,m) sub-steps of W range-partitioned
-// streams in range order reproduces the full-range stream byte for byte.
-// The full schedule's decisions (queue dynamics, stall guard, routing) are
-// replayed identically in every range; only emission is filtered.
-func (p *queuedPlan) stream(sink StepSink, emitLo, emitHi int) error {
+// stream emits the plan's host-step schedule into sink, one AppendStep per
+// host step.
+func (p *queuedPlan) stream(sink StepSink) error {
 	m := p.m
 	next := make([]int32, len(p.tmplNext))
 	head := make([]int32, m)
@@ -201,7 +187,7 @@ func (p *queuedPlan) stream(sink StepSink, emitLo, emitHi int) error {
 		// builder's schedule.
 		for r := int32(0); r < int32(p.maxLoad); r++ {
 			opsBuf = opsBuf[:0]
-			for q := emitLo; q < emitHi; q++ {
+			for q := 0; q < m; q++ {
 				if base := p.guestOff[q]; r < p.guestOff[q+1]-base {
 					opsBuf = append(opsBuf, Op{Kind: Generate, Proc: q, Pebble: Type{P: int(p.guestIDs[base+r]), T: t}})
 				}
@@ -251,11 +237,9 @@ func (p *queuedPlan) stream(sink StepSink, emitLo, emitHi int) error {
 				busyStamp[q] = busyEpoch
 				busyStamp[v] = busyEpoch
 				moved++
-				if q >= emitLo && q < emitHi {
-					pb := Type{P: int(p.taskP[id]), T: t}
-					opsBuf = append(opsBuf, Op{Kind: Send, Proc: q, Pebble: pb, Peer: v})
-					opsBuf = append(opsBuf, Op{Kind: Receive, Proc: v, Pebble: pb, Peer: q})
-				}
+				pb := Type{P: int(p.taskP[id]), T: t}
+				opsBuf = append(opsBuf, Op{Kind: Send, Proc: q, Pebble: pb, Peer: v})
+				opsBuf = append(opsBuf, Op{Kind: Receive, Proc: v, Pebble: pb, Peer: q})
 				if dst == v {
 					pending--
 				} else {

@@ -35,12 +35,13 @@ import (
 // the error the sequential engine reports. The equivalence suite pins this
 // across shard counts and window sizes.
 //
-// The sharded validator keeps only the "lite" state — possession bitsets
-// plus a generated-pebble bitset — not the holder/generator tables or
-// first-held steps of the full State. That is what makes n = 10⁶ fit in
-// RAM: memory is m·(T+1)·n/8 bytes of bitsets, independent of the number
-// of operations. Accept/reject decisions and error messages are identical
-// to State.ApplyStep; the oracle equivalence suite pins this.
+// This is the one implementation of the pebble rules. It keeps only the
+// "lite" state — possession bitsets plus a generated-pebble bitset — which
+// is what makes n = 10⁶ fit in RAM: memory is m·(T+1)·n/8 bytes of bitsets,
+// independent of the number of operations. State (state.go) runs the
+// sequential path of this engine and layers the lemma tables (holders,
+// generators, first-held steps) on top; the map-based oracle suite pins
+// both against an independent implementation.
 
 // StreamStats summarizes a successfully validated stream.
 type StreamStats struct {
@@ -84,13 +85,13 @@ type ShardedOptions struct {
 	Obs *obs.Registry
 }
 
-// error classes, in dense-engine precedence order: any op-scan error beats
-// any unmatched-receive error beats any unmatched-send error, because
-// State.ApplyStep scans all ops before matching and matches receives before
-// checking leftover sends. Across a window, an earlier step's error of any
-// class beats a later step's: the sequential engine never reaches the later
-// step. Within a class the smallest op index wins — exactly the op the
-// sequential engine would have tripped on first.
+// error classes, in rule precedence order: any op-scan error beats any
+// unmatched-receive error beats any unmatched-send error, because a step
+// is scanned in full before matching, and receives are matched before
+// leftover sends are checked. Across a window, an earlier step's error of
+// any class beats a later step's: sequential validation never reaches the
+// later step. Within a class the smallest op index wins — exactly the op
+// sequential validation would have tripped on first.
 const (
 	errClassNone = iota
 	errClassScan
@@ -118,13 +119,9 @@ func (e winError) before(o winError) bool {
 	return e.opIdx < o.opIdx
 }
 
-type recvRec struct {
-	j     int32 // window step index
-	opIdx int32
-	proc  int32
-	peer  int
-	pb    Type
-}
+// recvRec locates a Receive op in the window: step j, index opIdx within
+// the step. The op itself stays in the window's op slice.
+type recvRec struct{ j, opIdx int32 }
 
 type shardedValidator struct {
 	sp      Spec
@@ -137,6 +134,12 @@ type shardedValidator struct {
 	contains  []uint64   // m rows × words, owner-partitioned writes
 	busyStamp []int32    // per processor, owner-only
 	generated [][]uint64 // per shard: numIDs bits of "was generated"
+
+	// trackFresh makes the sequential scan append to fresh the index of
+	// every op whose gain sets a clear possession bit — the new gains
+	// State records in its analysis tables. Off for plain validation.
+	trackFresh bool
+	fresh      []int32
 
 	// Per-(window-step, sender) send table, slot j·m+q. Written by the
 	// sender's shard in phase 1, read (and consumed) by receiver shards in
@@ -162,9 +165,12 @@ type shardedValidator struct {
 	stepBase int
 	done     bool
 
-	// Per-shard window results, reset by each shard at scan entry.
-	errs  []winError
-	recvs [][]recvRec
+	// Per-shard window results, reset by each shard at scan entry. sent
+	// and matched count the window's registered sends and matched
+	// receives; equal totals let settle skip its scan.
+	errs          []winError
+	recvs         [][]recvRec
+	sent, matched []int64
 
 	genCount, sendCount, recvCount []int64
 
@@ -214,11 +220,13 @@ func checkSpec(sp Spec) error {
 
 // ValidateSharded replays a protocol stream against the lite sharded state
 // and returns its stats. Accept/reject decisions — and the error for a
-// rejected stream — are identical to sequential validation with
-// State.ApplyStep (errors wrapped as "pebble: host step %d: ..."), and the
-// final-generator check matches Validate. Source errors are returned
-// verbatim.
+// rejected stream — are independent of the shard count and window, and
+// identical to Validate (errors wrapped as "pebble: host step %d: ...",
+// then the final-generator check). Source errors are returned verbatim.
 func ValidateSharded(sp Spec, src StepSource, opts ShardedOptions) (*StreamStats, error) {
+	if err := checkSpec(sp); err != nil {
+		return nil, err
+	}
 	shards := opts.Shards
 	window := opts.Window
 	if window < 1 {
@@ -230,10 +238,7 @@ func ValidateSharded(sp Spec, src StepSource, opts ShardedOptions) (*StreamStats
 	if shards == 1 {
 		window = 1 // the sequential path needs no batching arena
 	}
-	v, err := newShardedValidator(sp, shards, window)
-	if err != nil {
-		return nil, err
-	}
+	v := newShardedValidator(sp, shards, window)
 	stats := &StreamStats{}
 	var runErr error
 	if v.shards == 1 {
@@ -251,22 +256,28 @@ func ValidateSharded(sp Spec, src StepSource, opts ShardedOptions) (*StreamStats
 	return stats, nil
 }
 
-func newShardedValidator(sp Spec, shards, window int) (*shardedValidator, error) {
-	if err := checkSpec(sp); err != nil {
-		return nil, err
-	}
+// newShardedValidator sets up the start configuration for sp, which the
+// public entry points have vetted with checkSpec. Shard counts are clamped
+// to [1, m]; a processor-less host keeps one shard, so every op reports
+// "out of range" instead of indexing an empty shard table.
+func newShardedValidator(sp Spec, shards, window int) *shardedValidator {
 	n, m := sp.Guest.N(), sp.Host.N()
-	if shards < 1 {
-		shards = 1
-	}
 	if shards > m {
 		shards = m
+	}
+	if shards < 1 {
+		shards = 1
 	}
 	if window < 1 {
 		window = 1
 	}
 	numIDs := (sp.T + 1) * n
 	words := (numIDs + 63) / 64
+	slots := m * window
+	sendTables := make([]int32, 5*slots) // one allocation, five tables
+	table := func(k int) []int32 { return sendTables[k*slots : (k+1)*slots : (k+1)*slots] }
+	counters := make([]int64, 5*shards) // one allocation, five per-shard counters
+	table64 := func(k int) []int64 { return counters[k*shards : (k+1)*shards : (k+1)*shards] }
 	v := &shardedValidator{
 		sp:     sp,
 		n:      n,
@@ -281,11 +292,11 @@ func newShardedValidator(sp Spec, shards, window int) (*shardedValidator, error)
 		busyStamp: make([]int32, m),
 		generated: make([][]uint64, shards),
 
-		sendStamp:    make([]int32, m*window),
-		sendTo:       make([]int32, m*window),
-		sendID:       make([]int32, m*window),
-		sendOpIdx:    make([]int32, m*window),
-		sendConsumed: make([]int32, m*window),
+		sendStamp:    table(0),
+		sendTo:       table(1),
+		sendID:       table(2),
+		sendOpIdx:    table(3),
+		sendConsumed: table(4),
 
 		shardOf: make([]int32, m),
 		lo:      make([]int, shards),
@@ -295,9 +306,11 @@ func newShardedValidator(sp Spec, shards, window int) (*shardedValidator, error)
 
 		errs:      make([]winError, shards),
 		recvs:     make([][]recvRec, shards),
-		genCount:  make([]int64, shards),
-		sendCount: make([]int64, shards),
-		recvCount: make([]int64, shards),
+		sent:      table64(0),
+		matched:   table64(1),
+		genCount:  table64(2),
+		sendCount: table64(3),
+		recvCount: table64(4),
 	}
 	for s := 0; s < shards; s++ {
 		v.generated[s] = make([]uint64, words)
@@ -317,13 +330,26 @@ func newShardedValidator(sp Spec, shards, window int) (*shardedValidator, error)
 			row[n/64] |= 1<<r - 1
 		}
 	}
-
-	return v, nil
+	return v
 }
 
-// finish runs the final-generator check (merged across shard bitsets) and
-// folds the per-shard op counters into stats.
+// finish runs the final-generator check and folds the per-shard op
+// counters into stats.
 func (v *shardedValidator) finish(stats *StreamStats) error {
+	if err := v.checkFinal(); err != nil {
+		return err
+	}
+	for s := 0; s < v.shards; s++ {
+		stats.Generates += v.genCount[s]
+		stats.Sends += v.sendCount[s]
+		stats.Receives += v.recvCount[s]
+	}
+	return nil
+}
+
+// checkFinal is Validate's last rule: every final pebble (P_i, T) was
+// generated somewhere, merged across the shards' bitsets.
+func (v *shardedValidator) checkFinal() error {
 	base := v.T * v.n
 	for i := 0; i < v.n; i++ {
 		id := base + i
@@ -337,11 +363,6 @@ func (v *shardedValidator) finish(stats *StreamStats) error {
 		if !found {
 			return fmt.Errorf("pebble: final pebble (P%d,t%d) never generated", i, v.T)
 		}
-	}
-	for s := 0; s < v.shards; s++ {
-		stats.Generates += v.genCount[s]
-		stats.Sends += v.sendCount[s]
-		stats.Receives += v.recvCount[s]
 	}
 	return nil
 }
@@ -375,11 +396,10 @@ type StreamValidator struct {
 // NewStreamValidator builds an incremental validator for sp, rejecting
 // degenerate specs (nil graphs, zero processors, negative horizons).
 func NewStreamValidator(sp Spec) (*StreamValidator, error) {
-	v, err := newShardedValidator(sp, 1, 1)
-	if err != nil {
+	if err := checkSpec(sp); err != nil {
 		return nil, err
 	}
-	return &StreamValidator{v: v}, nil
+	return &StreamValidator{v: newShardedValidator(sp, 1, 1)}, nil
 }
 
 // AppendStep validates one host step. The ops slice is only read during the
@@ -389,8 +409,8 @@ func (sv *StreamValidator) AppendStep(ops []Op) error {
 		return sv.err
 	}
 	if err := sv.v.applyStepSeq(ops); err != nil {
-		sv.err = err
-		return err
+		sv.err = hostStepError(sv.v.stepBase+1, err)
+		return sv.err
 	}
 	sv.v.recordStep(&sv.stats, len(ops))
 	return nil
@@ -414,7 +434,8 @@ func (sv *StreamValidator) Finish() (*StreamStats, error) {
 }
 
 // applyStepSeq validates one step inline (single-shard window of one step,
-// no barrier). The step ops are aliased, not copied.
+// no barrier) and returns the rule violation unwrapped; callers add the
+// host-step prefix. The step ops are aliased, not copied.
 func (v *shardedValidator) applyStepSeq(ops []Op) error {
 	v.winOps = ops
 	v.winStart[0] = 0
@@ -423,12 +444,18 @@ func (v *shardedValidator) applyStepSeq(ops []Op) error {
 	v.scanWindow(0)
 	v.matchWindow(0)
 	v.settleWindow(0)
-	err := v.windowVerdict()
+	err := v.windowVerdict().err
 	if err == nil {
 		v.stepBase++
 	}
 	v.winOps = nil
 	return err
+}
+
+// hostStepError prefixes a rule violation with its 1-based host step, the
+// form every validation entry point reports.
+func hostStepError(step int, err error) error {
+	return fmt.Errorf("pebble: host step %d: %w", step, err)
 }
 
 func (v *shardedValidator) runSequential(src StepSource, stats *StreamStats) error {
@@ -441,7 +468,7 @@ func (v *shardedValidator) runSequential(src StepSource, stats *StreamStats) err
 			return err
 		}
 		if e := v.applyStepSeq(ops); e != nil {
-			return e
+			return hostStepError(v.stepBase+1, e)
 		}
 		v.recordStep(stats, len(ops))
 	}
@@ -512,8 +539,8 @@ func (v *shardedValidator) runParallel(src StepSource, stats *StreamStats) error
 		v.barrier.wait()
 		v.settleWindow(0)
 		v.barrier.wait()
-		if err := v.windowVerdict(); err != nil {
-			runErr = err
+		if e := v.windowVerdict(); e.err != nil {
+			runErr = hostStepError(e.step, e.err)
 			v.done = true
 			v.barrier.wait() // release workers into the exit check
 			break
@@ -541,9 +568,10 @@ func (v *shardedValidator) recordStep(stats *StreamStats, opCount int) {
 }
 
 // windowVerdict selects the deterministic error of the just-validated
-// window: smallest (step, class, opIdx) across shards — the error the
-// sequential engine reports (see the class comment).
-func (v *shardedValidator) windowVerdict() error {
+// window: smallest (step, class, opIdx) across shards — the error
+// sequential validation reports (see the class comment). A zero winError
+// (nil err) means the window is legal.
+func (v *shardedValidator) windowVerdict() winError {
 	best := winError{}
 	for s := 0; s < v.shards; s++ {
 		e := v.errs[s]
@@ -554,18 +582,21 @@ func (v *shardedValidator) windowVerdict() error {
 			best = e
 		}
 	}
-	if best.step == 0 {
-		return nil
-	}
-	return fmt.Errorf("pebble: host step %d: %w", best.step, best.err)
+	return best
 }
 
 func (v *shardedValidator) bit(q, id int) bool {
 	return v.contains[q*v.words+id>>6]&(1<<(uint(id)&63)) != 0
 }
 
-func (v *shardedValidator) setBit(q, id int) {
-	v.contains[q*v.words+id>>6] |= 1 << (uint(id) & 63)
+// gain sets q's possession bit for id on behalf of op index oi.
+func (v *shardedValidator) gain(oi, q, id int) {
+	w := &v.contains[q*v.words+id>>6]
+	b := uint64(1) << (uint(id) & 63)
+	if v.trackFresh && *w&b == 0 {
+		v.fresh = append(v.fresh, int32(oi))
+	}
+	*w |= b
 }
 
 func (v *shardedValidator) idOf(pb Type) (int, bool) {
@@ -593,26 +624,26 @@ func (v *shardedValidator) fail(s, step, class, opIdx int, err error) {
 
 // scanWindow is phase 1: per-op checks, send registration, and optimistic
 // gains for every step of the window, restricted to ops whose processor the
-// shard owns, in (step, op) order. Mirrors the scan loop of State.ApplyStep,
-// including error messages. Gains (Generate results and Receive pebbles)
-// are applied to the possession bitsets immediately: they touch only the
-// gaining processor's row, which only this shard scans, so within the shard
-// step j+1 sees exactly the sequential engine's state — and unverified
-// Receive gains are safe because a failed match always records an error
-// that aborts the stream before the state is observed again. On the shard's
-// first error the scan stops: later ops of this shard are unreachable for
-// the sequential engine too, and cross-shard effects are screened by the
-// (step, class) ordering.
+// shard owns, in (step, op) order. Gains (Generate results and Receive
+// pebbles) are applied to the possession bitsets immediately: they touch
+// only the gaining processor's row, which only this shard scans, so within
+// the shard step j+1 sees exactly the sequential engine's state — and
+// unverified Receive gains are safe because a failed match always records
+// an error that aborts the stream before the state is observed again. On
+// the shard's first error the scan stops: later ops of this shard are
+// unreachable for the sequential engine too, and cross-shard effects are
+// screened by the (step, class) ordering.
 func (v *shardedValidator) scanWindow(s int) {
 	v.errs[s] = winError{}
 	v.recvs[s] = v.recvs[s][:0]
+	v.sent[s] = 0
 	for j := 0; j < v.winSteps; j++ {
 		ops := v.winOps[v.winStart[j]:v.winStart[j+1]]
 		stamp := v.stampOf(j)
 		jm := j * v.m
 		for oi := range ops {
 			op := &ops[oi]
-			if v.ownerOf(op.Proc) != s {
+			if v.shards > 1 && v.ownerOf(op.Proc) != s {
 				continue
 			}
 			if op.Proc < 0 || op.Proc >= v.m {
@@ -632,7 +663,7 @@ func (v *shardedValidator) scanWindow(s int) {
 				}
 				id := op.Pebble.T*v.n + op.Pebble.P
 				v.generated[s][id>>6] |= 1 << (uint(id) & 63)
-				v.setBit(op.Proc, id)
+				v.gain(oi, op.Proc, id)
 				v.genCount[s]++
 			case Send:
 				if !v.sp.Host.HasEdge(op.Proc, op.Peer) {
@@ -650,12 +681,11 @@ func (v *shardedValidator) scanWindow(s int) {
 				v.sendID[slot] = int32(id)
 				v.sendOpIdx[slot] = int32(oi)
 				v.sendCount[s]++
+				v.sent[s]++
 			case Receive:
-				v.recvs[s] = append(v.recvs[s], recvRec{
-					j: int32(j), opIdx: int32(oi), proc: int32(op.Proc), peer: op.Peer, pb: op.Pebble,
-				})
+				v.recvs[s] = append(v.recvs[s], recvRec{j: int32(j), opIdx: int32(oi)})
 				if id, ok := v.idOf(op.Pebble); ok {
-					v.setBit(op.Proc, id)
+					v.gain(oi, op.Proc, id)
 				}
 				v.recvCount[s]++
 			default:
@@ -674,25 +704,28 @@ func (v *shardedValidator) scanWindow(s int) {
 // unconsumed by the stop can only produce settle errors at the same step or
 // later, which the verdict ordering screens.
 func (v *shardedValidator) matchWindow(s int) {
+	v.matched[s] = 0
 	for _, r := range v.recvs[s] {
+		op := &v.winOps[v.winStart[r.j]+r.opIdx]
 		stamp := v.stampOf(int(r.j))
 		matched := false
-		if id, ok := v.idOf(r.pb); ok {
-			from := r.peer
+		if id, ok := v.idOf(op.Pebble); ok {
+			from := op.Peer
 			if from >= 0 && from < v.m {
 				slot := int(r.j)*v.m + from
 				if v.sendStamp[slot] == stamp &&
-					v.sendTo[slot] == r.proc &&
+					v.sendTo[slot] == int32(op.Proc) &&
 					v.sendID[slot] == int32(id) &&
 					v.sendConsumed[slot] != stamp {
 					v.sendConsumed[slot] = stamp
+					v.matched[s]++
 					matched = true
 				}
 			}
 		}
 		if !matched {
 			v.fail(s, int(stamp), errClassRecv, int(r.opIdx),
-				fmt.Errorf("processor %d receives %v from %d without a matching send", r.proc, r.pb, r.peer))
+				fmt.Errorf("processor %d receives %v from %d without a matching send", op.Proc, op.Pebble, op.Peer))
 			return
 		}
 	}
@@ -700,8 +733,18 @@ func (v *shardedValidator) matchWindow(s int) {
 
 // settleWindow is phase 3: report the shard's unmatched sends, earliest
 // step first, smallest op index within the step — the sequential engine's
-// pick.
+// pick. Every match consumed a distinct registered send, so when the
+// window's totals agree no send is left over and the O(m) slot scan is
+// skipped.
 func (v *shardedValidator) settleWindow(s int) {
+	var sent, matched int64
+	for r := 0; r < v.shards; r++ {
+		sent += v.sent[r]
+		matched += v.matched[r]
+	}
+	if sent == matched {
+		return
+	}
 	for j := 0; j < v.winSteps; j++ {
 		stamp := v.stampOf(j)
 		jm := j * v.m

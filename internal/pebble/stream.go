@@ -2,7 +2,6 @@ package pebble
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
@@ -32,18 +31,6 @@ type StepSource interface {
 // and ChunkedLog do).
 type StepSink interface {
 	AppendStep(ops []Op) error
-}
-
-// StepSegmentSink is an optional StepSink extension: one host step delivered
-// as ordered sub-slices. The sharded builder's merge stage probes for it so
-// sinks that copy anyway (Pipe, ChunkedLog, TeeSink) can consume the
-// per-worker segments in place instead of paying an extra concatenation.
-// Appending segs must be byte-equivalent to AppendStep on their
-// concatenation; the segment slices are only valid for the duration of the
-// call.
-type StepSegmentSink interface {
-	StepSink
-	AppendStepSegments(segs [][]Op) error
 }
 
 // Spec is the frame of a protocol stream: the graphs and the guest horizon,
@@ -103,39 +90,11 @@ func (s *ownedSink) AppendStep(ops []Op) error {
 // TeeSink duplicates a stream into several sinks, in order.
 func TeeSink(sinks ...StepSink) StepSink { return &teeSink{sinks: sinks} }
 
-type teeSink struct {
-	sinks   []StepSink
-	scratch []Op // flattening buffer for children without a segment path
-}
+type teeSink struct{ sinks []StepSink }
 
 func (t *teeSink) AppendStep(ops []Op) error {
 	for _, s := range t.sinks {
 		if err := s.AppendStep(ops); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *teeSink) AppendStepSegments(segs [][]Op) error {
-	var flat []Op
-	flattened := false
-	for _, s := range t.sinks {
-		if ss, ok := s.(StepSegmentSink); ok {
-			if err := ss.AppendStepSegments(segs); err != nil {
-				return err
-			}
-			continue
-		}
-		if !flattened {
-			t.scratch = t.scratch[:0]
-			for _, seg := range segs {
-				t.scratch = append(t.scratch, seg...)
-			}
-			flat = t.scratch
-			flattened = true
-		}
-		if err := s.AppendStep(flat); err != nil {
 			return err
 		}
 	}
@@ -162,12 +121,11 @@ func Materialize(sp Spec, src StepSource) (*Protocol, error) {
 	}
 }
 
-// ValidateSource replays a stream against the full dense State, exactly as
+// ValidateSource replays a stream through a fresh State, exactly as
 // Protocol.Validate does for materialized steps, and returns the final
 // state. Errors carry the same messages as Validate.
 func ValidateSource(sp Spec, src StepSource) (*State, error) {
 	st := NewState(sp.Guest, sp.Host, sp.T)
-	step := 0
 	for {
 		ops, err := src.NextStep()
 		if err == io.EOF {
@@ -176,15 +134,12 @@ func ValidateSource(sp Spec, src StepSource) (*State, error) {
 		if err != nil {
 			return nil, err
 		}
-		step++
 		if err := st.ApplyStep(ops); err != nil {
-			return nil, fmt.Errorf("pebble: host step %d: %w", step, err)
+			return nil, hostStepError(st.HostStep()+1, err)
 		}
 	}
-	for i := 0; i < sp.Guest.N(); i++ {
-		if !st.hasGenerator(Type{P: i, T: sp.T}) {
-			return nil, fmt.Errorf("pebble: final pebble (P%d,t%d) never generated", i, sp.T)
-		}
+	if err := st.checkFinal(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -276,27 +231,6 @@ func (p *Pipe) AppendStep(ops []Op) error {
 	}
 	buf := p.slots[idx][:0]
 	buf = append(buf, ops...)
-	p.slots[idx] = buf
-	select {
-	case p.filled <- idx:
-	case <-p.done:
-		return ErrPipeClosed
-	}
-	return nil
-}
-
-// AppendStepSegments publishes one step given as ordered sub-slices,
-// copying them into a single slot — the multi-producer merge's zero-extra-
-// copy path.
-func (p *Pipe) AppendStepSegments(segs [][]Op) error {
-	idx, err := p.acquireSlot()
-	if err != nil {
-		return err
-	}
-	buf := p.slots[idx][:0]
-	for _, seg := range segs {
-		buf = append(buf, seg...)
-	}
 	p.slots[idx] = buf
 	select {
 	case p.filled <- idx:

@@ -2,7 +2,9 @@ package universal
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"time"
 
 	"universalnet/internal/graph"
 	"universalnet/internal/obs"
@@ -13,21 +15,16 @@ import (
 // pipeline connected by a bounded pebble.Pipe, so the protocol never exists
 // as a whole — the working set is the pipe window plus the validator's
 // possession bitsets (and, optionally, the chunked archive's resident
-// window). Both stages scale with cores: construction shards across
-// BuildShards worker goroutines (per-processor ranges merged back into the
-// serial byte order), validation across Shards possession shards under a
-// windowed barrier. This is the path that takes E1-style validation to
-// n = 10⁶ guest processors on laptop RAM.
+// window). The builder runs serially on its own goroutine; validation
+// shards across Shards possession shards under a windowed barrier. This is
+// the path that takes E1-style validation to n = 10⁶ guest processors on
+// laptop RAM.
 
 // StreamRunConfig tunes the streaming pipeline.
 type StreamRunConfig struct {
 	// Shards is the validator parallelism (clamped to [1, m]); 0 means
 	// GOMAXPROCS.
 	Shards int
-	// BuildShards is the builder parallelism (clamped to [1, m]); 0 means
-	// max(1, GOMAXPROCS/2) — half the cores build, since validation has to
-	// keep up with the merged stream anyway. 1 builds serially.
-	BuildShards int
 	// Window is the builder→validator pipe depth in steps; 0 means 4.
 	Window int
 	// BarrierWindow is the validator's host steps per barrier round when
@@ -43,8 +40,8 @@ type StreamRunConfig struct {
 	// gauges are scheduling-dependent, so experiments keep this off; the CLI
 	// turns it on for humans watching a run.
 	MeasureStalls bool
-	// Ctx, when non-nil, cancels the whole pipeline: builder workers,
-	// merger, and validator are torn down and ctx.Err() is returned.
+	// Ctx, when non-nil, cancels the whole pipeline: builder and validator
+	// are torn down and ctx.Err() is returned.
 	Ctx context.Context
 }
 
@@ -56,14 +53,14 @@ type StreamRunReport struct {
 	Ops          int64
 	Slowdown     float64
 	Inefficiency float64
-	// Resolved parallelism (after auto-sizing).
+	// Resolved parallelism: BuildShards is always 1 (the builder is
+	// serial), ValidateShards the validator shards after auto-sizing.
 	BuildShards, ValidateShards int
-	// Pipeline stalls (nonzero only with MeasureStalls). SendStallNs is the
-	// build side blocked on the main pipe; RecvStallNs the validator
-	// waiting for steps; Build* split the build side further into worker
-	// build time, worker pipe stalls, and merger waiting.
-	SendStallNs, RecvStallNs               int64
-	BuildBusyNs, BuildStallNs, MergeWaitNs int64
+	// Pipeline profile (nonzero only with MeasureStalls). SendStallNs is
+	// the builder blocked on the pipe; RecvStallNs the validator waiting
+	// for steps; BuildBusyNs the builder's wall time net of SendStallNs.
+	SendStallNs, RecvStallNs int64
+	BuildBusyNs              int64
 	// Chunk storage profile (nonzero only with a chunk tee).
 	EncodedBytes, PeakChunkBytes, SpilledBytes int64
 	// Fingerprint is the chunk archive's stream fingerprint (zero without a
@@ -73,17 +70,18 @@ type StreamRunReport struct {
 
 // RunStreamingEmbedding builds the queued embedding schedule for guest on
 // host under assignment f (nil = balanced) and validates it concurrently
-// through the sharded streaming validator. The builder side fans out across
-// cfg.BuildShards workers whose merged stream is byte-identical to the
-// serial builder's. Validation failure abandons the pipe, which unblocks
-// and stops the builder; cancelling cfg.Ctx tears both stages down — no
-// goroutine outlives the call either way.
+// through the sharded streaming validator. Validation failure abandons the
+// pipe, which unblocks and stops the builder; cancelling cfg.Ctx tears both
+// stages down — no goroutine outlives the call either way.
 func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamRunConfig) (*StreamRunReport, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	n, m := guest.N(), host.N()
+	if n == 0 {
+		return nil, fmt.Errorf("universal: streaming run: guest has no processors")
+	}
 	if f == nil {
 		f = pebble.BalancedAssignment(n, m)
 	}
@@ -91,23 +89,12 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 	if window <= 0 {
 		window = 4
 	}
-	procs := runtime.GOMAXPROCS(0)
 	validateShards := cfg.Shards
 	if validateShards <= 0 {
-		validateShards = procs
+		validateShards = runtime.GOMAXPROCS(0)
 	}
 	if validateShards > m {
 		validateShards = m
-	}
-	buildShards := cfg.BuildShards
-	if buildShards <= 0 {
-		buildShards = procs / 2
-		if buildShards < 1 {
-			buildShards = 1
-		}
-	}
-	if buildShards > m {
-		buildShards = m
 	}
 
 	pipe := pebble.NewPipe(window)
@@ -117,19 +104,16 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 	if cfg.Chunks != nil {
 		sink = pebble.TeeSink(cfg.Chunks, pipe)
 	}
-	var bstats pebble.BuildShardedStats
+	var buildNs int64
 	builderDone := make(chan struct{})
 	go func() {
 		defer close(builderDone)
-		pipe.CloseSend(pebble.StreamQueuedEmbeddingProtocolSharded(ctx, guest, host, f, T, pebble.BuildShardedOptions{
-			Workers:       buildShards,
-			MeasureStalls: cfg.MeasureStalls,
-			Stats:         &bstats,
-		}, sink))
+		start := time.Now()
+		pipe.CloseSend(pebble.StreamQueuedEmbeddingProtocol(guest, host, f, T, sink))
+		buildNs = time.Since(start).Nanoseconds()
 	}()
-	// The build harness tears its own workers down on cancellation, but the
-	// merge (or a serial build) can be parked in sink.AppendStep on a full
-	// main pipe; abandoning the pipe's read side unblocks it.
+	// The builder can be parked in sink.AppendStep on a full pipe;
+	// abandoning the pipe's read side on cancellation unblocks it.
 	watchDone := make(chan struct{})
 	defer close(watchDone)
 	if ctx.Done() != nil {
@@ -164,25 +148,17 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 		Ops:            stats.Ops,
 		Slowdown:       stats.Slowdown(T),
 		Inefficiency:   stats.Slowdown(T) * float64(m) / float64(n),
-		BuildShards:    buildShards,
+		BuildShards:    1,
 		ValidateShards: validateShards,
 	}
-	rep.SendStallNs, rep.RecvStallNs = pipe.Stalls()
-	rep.BuildBusyNs = bstats.BusyNs
-	rep.BuildStallNs = bstats.StallNs
-	rep.MergeWaitNs = bstats.MergeStallNs
-	if bstats.Workers == 1 {
-		// The serial core's only stall source is the main pipe, which the
-		// harness cannot see; net it out of the wall time it reported.
-		rep.BuildBusyNs -= rep.SendStallNs
-		rep.BuildStallNs = rep.SendStallNs
-	}
-	if cfg.Obs != nil && cfg.MeasureStalls {
-		cfg.Obs.Gauge("pebble.pipe.send_stall_ns").SetMax(rep.SendStallNs)
-		cfg.Obs.Gauge("pebble.pipe.recv_stall_ns").SetMax(rep.RecvStallNs)
-		cfg.Obs.Gauge("pebble.build.busy_ns").SetMax(rep.BuildBusyNs)
-		cfg.Obs.Gauge("pebble.build.stall_ns").SetMax(rep.BuildStallNs)
-		cfg.Obs.Gauge("pebble.build.merge_wait_ns").SetMax(rep.MergeWaitNs)
+	if cfg.MeasureStalls {
+		rep.SendStallNs, rep.RecvStallNs = pipe.Stalls()
+		rep.BuildBusyNs = buildNs - rep.SendStallNs
+		if cfg.Obs != nil {
+			cfg.Obs.Gauge("pebble.pipe.send_stall_ns").SetMax(rep.SendStallNs)
+			cfg.Obs.Gauge("pebble.pipe.recv_stall_ns").SetMax(rep.RecvStallNs)
+			cfg.Obs.Gauge("pebble.build.busy_ns").SetMax(rep.BuildBusyNs)
+		}
 	}
 	if cfg.Chunks != nil {
 		rep.EncodedBytes = cfg.Chunks.TotalBytes()

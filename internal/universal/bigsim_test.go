@@ -4,9 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"universalnet/internal/graph"
 	"universalnet/internal/pebble"
 	"universalnet/internal/topology"
 )
@@ -26,54 +28,9 @@ func bigsimFixture(t testing.TB, n int) (*Host, func() *pebble.ChunkedLog) {
 	}
 }
 
-// TestRunStreamingEmbeddingBuildShardsDeterministic: every build-shard ×
-// validator-shard × barrier-window combination produces the same stream
-// fingerprint and the same deterministic report fields — the byte-identity
-// acceptance criterion, asserted end to end through the real pipeline.
-func TestRunStreamingEmbeddingBuildShardsDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	guest, err := topology.RandomGuest(rng, 2000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, mkChunks := bigsimFixture(t, 2000)
-	var base *StreamRunReport
-	for _, bs := range []int{1, 2, 3, 5} {
-		for _, vs := range []int{1, 3} {
-			chunks := mkChunks()
-			rep, err := RunStreamingEmbedding(guest, host.Graph, nil, 2, StreamRunConfig{
-				Shards:        vs,
-				BuildShards:   bs,
-				Window:        4,
-				BarrierWindow: 8,
-				Chunks:        chunks,
-			})
-			if err != nil {
-				t.Fatalf("build-shards=%d shards=%d: %v", bs, vs, err)
-			}
-			if err := chunks.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if base == nil {
-				base = rep
-				continue
-			}
-			if rep.Fingerprint != base.Fingerprint ||
-				rep.HostSteps != base.HostSteps ||
-				rep.Ops != base.Ops ||
-				rep.EncodedBytes != base.EncodedBytes {
-				t.Fatalf("build-shards=%d shards=%d: diverged from baseline: %+v vs %+v", bs, vs, rep, base)
-			}
-		}
-	}
-	if base.Fingerprint == 0 {
-		t.Fatal("fingerprint not populated")
-	}
-}
-
 // TestRunStreamingEmbeddingCancel: a pre-cancelled context tears the whole
-// pipeline down — builder workers, merger, watcher, validator shards — with
-// ctx.Err() as the verdict and no goroutine left behind.
+// pipeline down — builder, watcher, validator shards — with ctx.Err() as
+// the verdict and no goroutine left behind.
 func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	guest, err := topology.RandomGuest(rng, 50000, 3)
@@ -85,10 +42,9 @@ func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = RunStreamingEmbedding(guest, host.Graph, nil, 3, StreamRunConfig{
-		Shards:      2,
-		BuildShards: 2,
-		Window:      2,
-		Ctx:         ctx,
+		Shards: 2,
+		Window: 2,
+		Ctx:    ctx,
 	})
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -105,8 +61,8 @@ func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	}
 }
 
-// TestRunStreamingEmbeddingAutoSizing: zero config resolves both sides of
-// the pipeline from GOMAXPROCS and reports the resolved values.
+// TestRunStreamingEmbeddingAutoSizing: zero config resolves the validator
+// shards from GOMAXPROCS, and the builder reports its one serial worker.
 func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	guest, err := topology.RandomGuest(rng, 500, 3)
@@ -118,17 +74,24 @@ func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := runtime.GOMAXPROCS(0)
-	wantBuild := procs / 2
-	if wantBuild < 1 {
-		wantBuild = 1
-	}
-	wantValidate := procs
+	wantBuild := 1
+	wantValidate := runtime.GOMAXPROCS(0)
 	if m := host.Graph.N(); wantValidate > m {
 		wantValidate = m
 	}
 	if rep.BuildShards != wantBuild || rep.ValidateShards != wantValidate {
 		t.Fatalf("auto-sized to build=%d validate=%d, want build=%d validate=%d",
 			rep.BuildShards, rep.ValidateShards, wantBuild, wantValidate)
+	}
+}
+
+// TestRunStreamingEmbeddingEmptyGuest: a guest without processors is an
+// input error, not a run reporting inefficiency k = NaN.
+func TestRunStreamingEmbeddingEmptyGuest(t *testing.T) {
+	host, _ := bigsimFixture(t, 0)
+	guest := graph.NewBuilder(0).Build()
+	rep, err := RunStreamingEmbedding(guest, host.Graph, nil, 2, StreamRunConfig{})
+	if err == nil || !strings.Contains(err.Error(), "guest has no processors") {
+		t.Fatalf("want a no-processors error, got report %+v, err %v", rep, err)
 	}
 }

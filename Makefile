@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-race bench bench-json bench-compare bench-smoke load-smoke cluster-smoke trace-smoke bigsim-smoke redblue-smoke report examples cover clean
+.PHONY: all build check test test-race bench bench-json bench-compare bench-smoke load-smoke cluster-smoke trace-smoke bigsim-smoke redblue-smoke report-smoke report examples cover clean
 
 # Explicit bench-compare tolerances (percent growth allowed per metric). CI
 # and local runs share these so the gate's verdict is reproducible.
@@ -94,6 +94,12 @@ trace-smoke:
 redblue-smoke:
 	$(GO) run ./cmd/uninet redblue -assert-monotone-io -seed 1
 	$(GO) test -run TestOracleMatchesBeladyReplay ./internal/redblue/
+
+# Paper-quantity gate: `uninet report -seed 1` at -parallel 1 and 2 must
+# both hash to the pinned sha256 (see scripts/report_smoke.sh). Drift there
+# is a correctness change, not noise.
+report-smoke:
+	sh scripts/report_smoke.sh
 
 # Run the full E1..E24 evaluation suite and print every table + figure.
 # Pass flags through REPORT_FLAGS, e.g. `make report REPORT_FLAGS="-parallel 0"`.

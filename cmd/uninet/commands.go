@@ -377,7 +377,6 @@ func cmdBigsim(args []string) error {
 	steps := fs.Int("steps", 2, "guest steps")
 	shards := fs.Int("shards", 0, "validator shards (0 = GOMAXPROCS)")
 	window := fs.Int("window", 8, "pipe window in host steps")
-	barrierWindow := fs.Int("barrier-window", 0, "validator host steps per barrier round (0 = default)")
 	chunkKB := fs.Int("chunk-kb", 1024, "target chunk size in KiB")
 	budgetKB := fs.Int("budget-kb", 8192, "resident chunk budget in KiB (0 = never spill)")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -420,7 +419,6 @@ func cmdBigsim(args []string) error {
 	rep, err := universal.RunStreamingEmbedding(guest, host, nil, *steps, universal.StreamRunConfig{
 		Shards:        *shards,
 		Window:        *window,
-		BarrierWindow: *barrierWindow,
 		Chunks:        chunks,
 		MeasureStalls: true,
 	})

@@ -88,7 +88,7 @@ commands:
   bound      -log2m X [-toy]  or  -n N -m M [-toy]
   tradeoff   -n N -ms 256,1024,4096 [-toy]
   pebble     -n N -deg C -hostdim D -steps T [-seed S]
-  bigsim     -n N -deg C -hostdim D -steps T [-shards W] [-window K] [-barrier-window K] [-chunk-kb KB] [-budget-kb KB] [-save F] [-assert-peak-bytes B] [-cpuprofile F] [-memprofile F] [-seed S]
+  bigsim     -n N -deg C -hostdim D -steps T [-shards W] [-window K] [-chunk-kb KB] [-budget-kb KB] [-save F] [-assert-peak-bytes B] [-cpuprofile F] [-memprofile F] [-seed S]
   redblue    -n N -deg C -hostdim D -steps T [-r R1,R2,...] [-policy lru|random|belady|all] [-iocost G] [-computecost C] [-json] [-assert-monotone-io] [-seed S]
   figure1    [-blockside P] [-seed S]
   experiment [-only E1,E4,E12] [-parallel N] [-timeout D] [-json] [-failfast] [-list] [-seed S] [-faults NAME] [-fault-seed S] [-trace F]

@@ -19,11 +19,7 @@ import (
 // The returned protocol passes Validate; its Inefficiency() is the measured
 // k of the run.
 func BuildEmbeddingProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
-	pr := &Protocol{Guest: guest, Host: host, T: T}
-	if err := StreamEmbeddingProtocol(guest, host, f, T, &ProtocolSink{Proto: pr}); err != nil {
-		return nil, err
-	}
-	return pr, nil
+	return materializePlan(guest, host, f, T, phasedRule)
 }
 
 // StreamEmbeddingProtocol is the streaming core of BuildEmbeddingProtocol:
@@ -31,149 +27,64 @@ func BuildEmbeddingProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol
 // it is assembled, so the protocol never has to exist as a whole. The ops
 // slice passed to the sink is reused across steps.
 func StreamEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	n, m := guest.N(), host.N()
-	if T < 1 {
-		return fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = make([]int, n)
-		for i := range f {
-			f[i] = i % m
-		}
-	}
-	if len(f) != n {
-		return fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
+	return streamPlan(guest, host, f, T, phasedRule, sink)
+}
 
-	// Guests per host, in index order: generation schedule.
-	guestsOf := make([][]int, m)
-	for i := 0; i < n; i++ {
-		guestsOf[f[i]] = append(guestsOf[f[i]], i)
-	}
-	maxLoad := 0
-	for _, gs := range guestsOf {
-		if len(gs) > maxLoad {
-			maxLoad = len(gs)
-		}
-	}
-
-	// Distribution tasks per guest step: pebble (P_i, t) from f(i) to the
-	// distinct hosts of i's neighbors. The task list is identical for every t
-	// up to the pebble's time coordinate, so routes are planned once into a
-	// reusable buffer; `seen` is a stamped slice rather than a per-guest map.
-	type task struct {
-		pb  Type
-		at  int
-		dst int
-	}
-	var tasks []task
-	seenStamp := make([]int32, m)
-	seenEpoch := int32(0)
-	buildTasks := func(t int) []task {
-		tasks = tasks[:0]
-		for i := 0; i < n; i++ {
-			seenEpoch++
-			seenStamp[f[i]] = seenEpoch
-			for _, j := range guest.Neighbors(i) {
-				h := f[j]
-				if seenStamp[h] != seenEpoch {
-					seenStamp[h] = seenEpoch
-					tasks = append(tasks, task{pb: Type{P: i, T: t}, at: f[i], dst: h})
-				}
-			}
-		}
-		return tasks
-	}
-
-	// Next-hop via cached BFS distance-to-destination.
-	distCache := make([][]int, m)
-	distTo := func(dst int) []int {
-		if d := distCache[dst]; d != nil {
-			return d
-		}
-		d := host.BFS(dst)
-		distCache[dst] = d
-		return d
-	}
-	nextHop := func(at, dst int) int {
-		d := distTo(dst)
-		for _, w := range host.Neighbors(at) {
-			if d[w] == d[at]-1 {
-				return w
-			}
-		}
-		return -1
-	}
-
-	// Ops are assembled in a reusable scratch handed to the sink each step;
-	// retaining sinks (ProtocolSink, ChunkedLog) copy, so steps carry no
-	// append-growth slack in the materialized form.
-	var opsBuf []Op
-	emit := func() error { return sink.AppendStep(opsBuf) }
+// phasedRule schedules each distribution phase by rescanning the relation
+// in order every host step: a task whose pebble and next hop are both free
+// moves one hop toward its destination.
+func phasedRule(p *embedPlan, sink StepSink) error {
+	n, m := p.n, p.m
+	at := make([]int32, len(p.relDst)) // host currently holding task k's copy
 	busyStamp := make([]int32, m)
 	busyEpoch := int32(0)
-	for t := 1; t <= T; t++ {
-		// Generation phase: maxLoad host steps.
-		for r := 0; r < maxLoad; r++ {
-			opsBuf = opsBuf[:0]
-			for q := 0; q < m; q++ {
-				if r < len(guestsOf[q]) {
-					opsBuf = append(opsBuf, Op{Kind: Generate, Proc: q, Pebble: Type{P: guestsOf[q][r], T: t}})
-				}
-			}
-			if err := emit(); err != nil {
-				return err
-			}
+	var ops []Op
+	var err error
+	for t := 1; t <= p.T; t++ {
+		if ops, err = p.emitGeneration(ops, t, sink); err != nil {
+			return err
 		}
-		if t == T {
+		if t == p.T {
 			break // final pebbles need not be distributed
 		}
-		// Distribution phase.
-		tasks := buildTasks(t)
+		for i := 0; i < n; i++ {
+			for k := p.relOff[i]; k < p.relOff[i+1]; k++ {
+				at[k] = int32(p.f[i])
+			}
+		}
 		guard := 0
-		for remaining := len(tasks); remaining > 0; {
+		for remaining := len(at); remaining > 0; {
 			guard++
-			if guard > 16*(m+n)*(maxLoad+1) {
+			if guard > 16*(m+n)*(p.maxLoad+1) {
 				return fmt.Errorf("pebble: distribution stalled at guest step %d", t)
 			}
 			busyEpoch++
-			opsBuf = opsBuf[:0]
-			for ti := range tasks {
-				tk := &tasks[ti]
-				if tk.at == tk.dst {
-					continue
-				}
-				if busyStamp[tk.at] == busyEpoch {
-					continue
-				}
-				v := nextHop(tk.at, tk.dst)
-				if v < 0 {
-					return fmt.Errorf("pebble: no route from %d to %d", tk.at, tk.dst)
-				}
-				if busyStamp[v] == busyEpoch {
-					continue
-				}
-				busyStamp[tk.at] = busyEpoch
-				busyStamp[v] = busyEpoch
-				opsBuf = append(opsBuf, Op{Kind: Send, Proc: tk.at, Pebble: tk.pb, Peer: v})
-				opsBuf = append(opsBuf, Op{Kind: Receive, Proc: v, Pebble: tk.pb, Peer: tk.at})
-				tk.at = v
-				if tk.at == tk.dst {
-					remaining--
+			ops = ops[:0]
+			for i := 0; i < n; i++ {
+				pb := Type{P: i, T: t}
+				for k := p.relOff[i]; k < p.relOff[i+1]; k++ {
+					q, dst := at[k], p.relDst[k]
+					if q == dst || busyStamp[q] == busyEpoch {
+						continue
+					}
+					v := p.nhop[dst][q]
+					if busyStamp[v] == busyEpoch {
+						continue
+					}
+					busyStamp[q] = busyEpoch
+					busyStamp[v] = busyEpoch
+					ops = append(ops, Op{Kind: Send, Proc: int(q), Pebble: pb, Peer: int(v)})
+					ops = append(ops, Op{Kind: Receive, Proc: int(v), Pebble: pb, Peer: int(q)})
+					at[k] = v
+					if v == dst {
+						remaining--
+					}
 				}
 			}
-			if len(opsBuf) == 0 {
+			if len(ops) == 0 {
 				return fmt.Errorf("pebble: no progress in distribution at guest step %d", t)
 			}
-			if err := emit(); err != nil {
+			if err := sink.AppendStep(ops); err != nil {
 				return err
 			}
 		}

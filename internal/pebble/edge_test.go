@@ -117,3 +117,41 @@ func (s *stepsSource) NextStep() ([]Op, error) {
 	s.next++
 	return ops, nil
 }
+
+// TestBuildersRejectBadArguments: every builder runs the same argument
+// check. A host without processors is an input error, not an integer
+// division by zero in the balanced assignment.
+func TestBuildersRejectBadArguments(t *testing.T) {
+	guest := mustRing(t, 4)
+	host := mustRing(t, 4)
+	empty := graph.NewBuilder(0).Build()
+	builders := []struct {
+		name  string
+		build func(guest, host *graph.Graph, f []int, T int) (*Protocol, error)
+	}{
+		{"phased", BuildEmbeddingProtocol},
+		{"pipelined", BuildPipelinedProtocol},
+		{"queued", BuildQueuedEmbeddingProtocol},
+		{"multicast", BuildMulticastProtocol},
+	}
+	cases := []struct {
+		name string
+		host *graph.Graph
+		f    []int
+		T    int
+		want string
+	}{
+		{"empty host", empty, nil, 2, "pebble: host has no processors"},
+		{"zero horizon", host, nil, 0, "pebble: need T ≥ 1, got 0"},
+		{"short assignment", host, []int{0, 1}, 2, "pebble: assignment length 2, want 4"},
+		{"assignment out of range", host, []int{0, 1, 2, 4}, 2, "pebble: guest 3 assigned to invalid host 4"},
+	}
+	for _, b := range builders {
+		for _, tc := range cases {
+			pr, err := b.build(guest, tc.host, tc.f, tc.T)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %s: want error %q, got protocol %v, err %v", b.name, tc.name, tc.want, pr != nil, err)
+			}
+		}
+	}
+}

@@ -2,7 +2,7 @@ package pebble
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"universalnet/internal/graph"
 )
@@ -15,41 +15,20 @@ import (
 // multicast tree ships one per tree edge, cutting both operations and, on
 // branching hosts, host steps.
 func BuildMulticastProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
-	n, m := guest.N(), host.N()
-	if T < 1 {
-		return nil, fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return nil, fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = BalancedAssignment(n, m)
-	}
-	if len(f) != n {
-		return nil, fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return nil, fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
-	guestsOf := make([][]int, m)
-	for i := 0; i < n; i++ {
-		guestsOf[f[i]] = append(guestsOf[f[i]], i)
-	}
-	maxLoad := 0
-	for _, gs := range guestsOf {
-		if len(gs) > maxLoad {
-			maxLoad = len(gs)
-		}
-	}
+	return materializePlan(guest, host, f, T, multicastRule)
+}
 
-	// BFS parents from each source host (cached): parent[src][v] = previous
-	// hop on a shortest path src→v.
-	parentCache := make(map[int][]int)
+// multicastRule routes along BFS-parent trees from each source host — its
+// own path rule, unlike the plan's next-hop tables toward destinations.
+func multicastRule(p *embedPlan, sink StepSink) error {
+	n, m := p.n, p.m
+
+	// parents[src][v] is the previous hop on a BFS shortest path src→v,
+	// computed for each source host on first use.
+	parents := make([][]int, m)
 	parentsFrom := func(src int) []int {
-		if p, ok := parentCache[src]; ok {
-			return p
+		if parents[src] != nil {
+			return parents[src]
 		}
 		parent := make([]int, m)
 		for i := range parent {
@@ -59,109 +38,85 @@ func BuildMulticastProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol
 		queue := []int{src}
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
-			for _, w := range host.Neighbors(v) {
+			for _, w := range p.host.Neighbors(v) {
 				if parent[w] < 0 {
 					parent[w] = v
 					queue = append(queue, w)
 				}
 			}
 		}
-		parentCache[src] = parent
+		parents[src] = parent
 		return parent
 	}
 
-	// Multicast transfer: one pending hop per tree edge; a hop becomes
-	// eligible once its tail holds the pebble.
-	type hop struct {
-		pb       Type
-		from, to int
-	}
-	pr := &Protocol{Guest: guest, Host: host, T: T}
-	for t := 1; t <= T; t++ {
-		// Generation phase.
-		for r := 0; r < maxLoad; r++ {
-			var ops []Op
-			for q := 0; q < m; q++ {
-				if r < len(guestsOf[q]) {
-					ops = append(ops, Op{Kind: Generate, Proc: q, Pebble: Type{P: guestsOf[q][r], T: t}})
-				}
+	// The multicast trees are the same at every guest step: guest i's tree
+	// is the union of shortest paths from f(i) to its relation hosts, one
+	// hop per tree edge in (from, to) order. A hop becomes eligible once
+	// its tail holds the pebble.
+	type hop struct{ guest, from, to int }
+	var hops []hop
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		src := p.f[i]
+		parent := parentsFrom(src)
+		edges = edges[:0]
+		for _, d := range p.relDst[p.relOff[i]:p.relOff[i+1]] {
+			for v := int(d); v != src; v = parent[v] {
+				edges = append(edges, [2]int{parent[v], v})
 			}
-			pr.Steps = append(pr.Steps, ops)
 		}
-		if t == T {
+		slices.SortFunc(edges, func(a, b [2]int) int {
+			if a[0] != b[0] {
+				return a[0] - b[0]
+			}
+			return a[1] - b[1]
+		})
+		for _, e := range slices.Compact(edges) {
+			hops = append(hops, hop{guest: i, from: e[0], to: e[1]})
+		}
+	}
+
+	holds := make(map[[2]int]bool) // (host, guest) → holds (P_i, t)
+	done := make([]bool, len(hops))
+	busy := make([]bool, m)
+	var ops []Op
+	var err error
+	for t := 1; t <= p.T; t++ {
+		if ops, err = p.emitGeneration(ops, t, sink); err != nil {
+			return err
+		}
+		if t == p.T {
 			break
 		}
-		// Build the multicast trees: for each guest i, the union of
-		// shortest paths from f(i) to every destination host.
-		var hops []hop
-		holds := make(map[[2]int]bool) // (host, guest) → holds (P_i, t)
+		clear(holds)
 		for i := 0; i < n; i++ {
-			src := f[i]
-			holds[[2]int{src, i}] = true
-			dsts := map[int]bool{}
-			for _, j := range guest.Neighbors(i) {
-				if f[j] != src {
-					dsts[f[j]] = true
-				}
-			}
-			if len(dsts) == 0 {
-				continue
-			}
-			parent := parentsFrom(src)
-			edges := map[[2]int]bool{} // (from, to) tree edges, deduped
-			for d := range dsts {
-				for v := d; v != src; v = parent[v] {
-					edges[[2]int{parent[v], v}] = true
-				}
-			}
-			keys := make([][2]int, 0, len(edges))
-			for e := range edges {
-				keys = append(keys, e)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				if keys[a][0] != keys[b][0] {
-					return keys[a][0] < keys[b][0]
-				}
-				return keys[a][1] < keys[b][1]
-			})
-			for _, e := range keys {
-				hops = append(hops, hop{pb: Type{P: i, T: t}, from: e[0], to: e[1]})
-			}
+			holds[[2]int{p.f[i], i}] = true
 		}
+		clear(done)
 		// Schedule: each step, run eligible hops greedily (one op per
-		// processor). A hop is eligible when its tail holds the pebble.
+		// processor).
 		guard := 0
-		remaining := len(hops)
-		done := make([]bool, len(hops))
-		for remaining > 0 {
+		for remaining := len(hops); remaining > 0; {
 			guard++
-			if guard > 16*(m+n)*(maxLoad+2) {
-				return nil, fmt.Errorf("pebble: multicast distribution stalled at guest step %d", t)
+			if guard > 16*(m+n)*(p.maxLoad+2) {
+				return fmt.Errorf("pebble: multicast distribution stalled at guest step %d", t)
 			}
-			busy := make(map[int]bool)
-			var ops []Op
-			progressed := false
-			for hi := range hops {
-				if done[hi] {
-					continue
-				}
-				hp := &hops[hi]
-				if !holds[[2]int{hp.from, hp.pb.P}] {
-					continue
-				}
-				if busy[hp.from] || busy[hp.to] {
+			clear(busy)
+			ops = ops[:0]
+			for hi, hp := range hops {
+				if done[hi] || !holds[[2]int{hp.from, hp.guest}] || busy[hp.from] || busy[hp.to] {
 					continue
 				}
 				busy[hp.from] = true
 				busy[hp.to] = true
-				ops = append(ops, Op{Kind: Send, Proc: hp.from, Pebble: hp.pb, Peer: hp.to})
-				ops = append(ops, Op{Kind: Receive, Proc: hp.to, Pebble: hp.pb, Peer: hp.from})
+				pb := Type{P: hp.guest, T: t}
+				ops = append(ops, Op{Kind: Send, Proc: hp.from, Pebble: pb, Peer: hp.to})
+				ops = append(ops, Op{Kind: Receive, Proc: hp.to, Pebble: pb, Peer: hp.from})
 				done[hi] = true
 				remaining--
-				progressed = true
 			}
-			if !progressed {
-				return nil, fmt.Errorf("pebble: multicast deadlock at guest step %d (%d hops left)", t, remaining)
+			if len(ops) == 0 {
+				return fmt.Errorf("pebble: multicast deadlock at guest step %d (%d hops left)", t, remaining)
 			}
 			// Apply holds after the step (synchronous semantics).
 			for _, op := range ops {
@@ -169,8 +124,10 @@ func BuildMulticastProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol
 					holds[[2]int{op.Proc, op.Pebble.P}] = true
 				}
 			}
-			pr.Steps = append(pr.Steps, ops)
+			if err := sink.AppendStep(ops); err != nil {
+				return err
+			}
 		}
 	}
-	return pr, nil
+	return nil
 }

@@ -2,7 +2,7 @@ package pebble
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"universalnet/internal/graph"
 )
@@ -19,165 +19,103 @@ import (
 // phase-based builder on every non-trivial instance; the E15 ablation
 // quantifies the gap.
 func BuildPipelinedProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
-	pr := &Protocol{Guest: guest, Host: host, T: T}
-	// ownedSink: the builder allocates a fresh ops slice per step, so the
-	// materialized protocol can own them without a copy (preserving the
-	// builder's historical allocation profile).
-	if err := streamPipelined(guest, host, f, T, &ownedSink{proto: pr}); err != nil {
-		return nil, err
-	}
-	return pr, nil
+	return materializePlan(guest, host, f, T, pipelinedRule)
 }
 
 // StreamPipelinedProtocol emits the pipelined greedy schedule through sink,
-// one host step at a time. Unlike the materializing wrapper it hands the
-// sink a slice it will not reuse, but the StepSink contract still only
-// guarantees validity for the duration of the call.
+// one host step at a time. The ops slice passed to the sink is reused
+// across steps.
 func StreamPipelinedProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	return streamPipelined(guest, host, f, T, sink)
+	return streamPlan(guest, host, f, T, pipelinedRule, sink)
 }
 
-func streamPipelined(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	n, m := guest.N(), host.N()
-	if T < 1 {
-		return fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = BalancedAssignment(n, m)
-	}
-	if len(f) != n {
-		return fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
-
-	// Transfer tasks: deliver (P_i, t) from f(i) to the host of each guest
-	// neighbor (deduplicated). Created when (P_i, t) is generated, t < T.
+// pipelinedRule runs the whole schedule as one greedy: each host step,
+// pending transfers move farthest-first, then every processor left idle
+// generates the next pebble of its first ready guest. A transfer task
+// (pebble, current host, destination) is created for every relation entry
+// of a guest when that guest's pebble of step t < T is generated.
+func pipelinedRule(p *embedPlan, sink StepSink) error {
+	n, m, T := p.n, p.m, p.T
 	type task struct {
-		pb  Type
-		at  int
-		dst int
-	}
-	destsOf := make([][]int, n) // distinct foreign hosts needing i's pebbles
-	for i := 0; i < n; i++ {
-		seen := map[int]bool{f[i]: true}
-		for _, j := range guest.Neighbors(i) {
-			if !seen[f[j]] {
-				seen[f[j]] = true
-				destsOf[i] = append(destsOf[i], f[j])
-			}
-		}
+		pb      Type
+		at, dst int32
 	}
 
-	// Host-local readiness bookkeeping (mirrors State, kept separately so
-	// the final protocol is still validated independently).
-	st := NewState(guest, host, T)
+	// Readiness is read off the rule engine the protocol is validated
+	// with, so a builder bug surfaces as an illegal step, not a bad
+	// schedule.
+	v := newShardedValidator(Spec{Guest: p.guest, Host: p.host, T: T}, 1, 1)
 	nextGen := make([]int, n) // nextGen[i] = t of the next pebble to generate
 	for i := range nextGen {
 		nextGen[i] = 1
-	}
-	guestsOf := make([][]int, m)
-	for i := 0; i < n; i++ {
-		guestsOf[f[i]] = append(guestsOf[f[i]], i)
 	}
 	canGen := func(i int) bool {
 		t := nextGen[i]
 		if t > T {
 			return false
 		}
-		q := f[i]
-		if !st.Contains(q, Type{P: i, T: t - 1}) {
+		q, base := p.f[i], (t-1)*n
+		if !v.bit(q, base+i) {
 			return false
 		}
-		for _, j := range guest.Neighbors(i) {
-			if !st.Contains(q, Type{P: j, T: t - 1}) {
+		for _, j := range p.guest.Neighbors(i) {
+			if !v.bit(q, base+j) {
 				return false
 			}
 		}
 		return true
 	}
 
-	distCache := make(map[int][]int)
-	distTo := func(dst int) []int {
-		if d, ok := distCache[dst]; ok {
-			return d
-		}
-		d := host.BFS(dst)
-		distCache[dst] = d
-		return d
-	}
-	nextHop := func(at, dst int) int {
-		d := distTo(dst)
-		for _, w := range host.Neighbors(at) {
-			if d[w] == d[at]-1 {
-				return w
-			}
-		}
-		return -1
-	}
-
-	var tasks []*task
+	var tasks []task
+	var ops, gains []Op // gains: generation ops applied after scheduling decisions
+	busy := make([]bool, m)
 	remainingGen := n * T
 	guard := 0
-	maxSteps := 64 * T * (n + m) * (host.Diameter() + 2)
+	maxSteps := 64 * T * (n + m) * (p.host.Diameter() + 2)
 
 	for remainingGen > 0 || len(tasks) > 0 {
 		guard++
 		if guard > maxSteps {
 			return fmt.Errorf("pebble: pipelined builder exceeded %d steps", maxSteps)
 		}
-		busy := make([]bool, m)
-		var ops []Op
-		var gains []Op // generation ops applied after scheduling decisions
+		clear(busy)
+		ops, gains = ops[:0], gains[:0]
 
 		// Pass 1: transfers, farthest-first (the arbitration rule the greedy
 		// router uses): tasks with more remaining distance get first pick of
-		// links, keeping the communication critical path moving.
-		sort.SliceStable(tasks, func(a, b int) bool {
-			da := distTo(tasks[a].dst)[tasks[a].at]
-			db := distTo(tasks[b].dst)[tasks[b].at]
-			return da > db
+		// links, keeping the communication critical path moving. Tasks still
+		// under way are compacted in place.
+		slices.SortStableFunc(tasks, func(a, b task) int {
+			return p.dist[b.dst][b.at] - p.dist[a.dst][a.at]
 		})
-		var stillTasks []*task
+		pending := tasks[:0]
 		for _, tk := range tasks {
-			if tk.at == tk.dst {
-				continue
-			}
 			if busy[tk.at] {
-				stillTasks = append(stillTasks, tk)
+				pending = append(pending, tk)
 				continue
 			}
-			v := nextHop(tk.at, tk.dst)
-			if v < 0 {
-				return fmt.Errorf("pebble: no route %d→%d", tk.at, tk.dst)
-			}
-			if busy[v] {
-				stillTasks = append(stillTasks, tk)
+			hop := p.nhop[tk.dst][tk.at]
+			if busy[hop] {
+				pending = append(pending, tk)
 				continue
 			}
 			busy[tk.at] = true
-			busy[v] = true
-			ops = append(ops, Op{Kind: Send, Proc: tk.at, Pebble: tk.pb, Peer: v})
-			ops = append(ops, Op{Kind: Receive, Proc: v, Pebble: tk.pb, Peer: tk.at})
-			tk.at = v
-			if tk.at != tk.dst {
-				stillTasks = append(stillTasks, tk)
+			busy[hop] = true
+			ops = append(ops, Op{Kind: Send, Proc: int(tk.at), Pebble: tk.pb, Peer: int(hop)})
+			ops = append(ops, Op{Kind: Receive, Proc: int(hop), Pebble: tk.pb, Peer: int(tk.at)})
+			if tk.at = hop; tk.at != tk.dst {
+				pending = append(pending, tk)
 			}
 		}
-		tasks = stillTasks
+		tasks = pending
 
 		// Pass 2: generations on processors the transfer pass left idle.
 		for q := 0; q < m; q++ {
 			if busy[q] {
 				continue
 			}
-			for _, i := range guestsOf[q] {
+			for _, gi := range p.guestIDs[p.guestOff[q]:p.guestOff[q+1]] {
+				i := int(gi)
 				if canGen(i) {
 					t := nextGen[i]
 					gains = append(gains, Op{Kind: Generate, Proc: q, Pebble: Type{P: i, T: t}})
@@ -185,8 +123,8 @@ func streamPipelined(guest, host *graph.Graph, f []int, T int, sink StepSink) er
 					nextGen[i]++
 					remainingGen--
 					if t < T {
-						for _, dst := range destsOf[i] {
-							tasks = append(tasks, &task{pb: Type{P: i, T: t}, at: q, dst: dst})
+						for _, dst := range p.relDst[p.relOff[i]:p.relOff[i+1]] {
+							tasks = append(tasks, task{pb: Type{P: i, T: t}, at: int32(q), dst: dst})
 						}
 					}
 					break
@@ -198,7 +136,7 @@ func streamPipelined(guest, host *graph.Graph, f []int, T int, sink StepSink) er
 			return fmt.Errorf("pebble: pipelined builder stalled (remaining generations %d, tasks %d)",
 				remainingGen, len(tasks))
 		}
-		if err := st.ApplyStep(ops); err != nil {
+		if err := v.applyStepSeq(ops); err != nil {
 			return fmt.Errorf("pebble: pipelined builder emitted illegal step (bug): %w", err)
 		}
 		if err := sink.AppendStep(ops); err != nil {

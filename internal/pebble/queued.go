@@ -27,174 +27,55 @@ import (
 // step sequence differs from StreamEmbeddingProtocol's, so it is a distinct
 // builder, not a drop-in replacement where byte-identical output matters.
 func StreamQueuedEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	p, err := newQueuedPlan(guest, host, f, T)
-	if err != nil {
-		return err
-	}
-	return p.stream(sink)
+	return streamPlan(guest, host, f, T, queuedRule, sink)
 }
 
-// queuedPlan is the read-only precompute of the queued builder: the
-// assignment in CSR form, next-hop routing tables, and the distribution
-// task template. The template exploits that the distribution tasks for
-// guest step t are identical for every t (only the pebble's T differs), so
-// the per-step arena rebuild of the original builder becomes three copies.
-type queuedPlan struct {
-	guest *graph.Graph
-	host  *graph.Graph
-	T     int
-	n, m  int
-
-	maxLoad int
-	// Guests assigned to host q are guestIDs[guestOff[q]:guestOff[q+1]],
-	// ascending — the generation schedule's row-major order.
-	guestOff []int32
-	guestIDs []int32
-
-	// nhop[dst][at] is the first neighbor of at one BFS level closer to
-	// dst (-1 if unreachable); built only for hosts that appear as task
-	// destinations, nil otherwise.
-	nhop [][]int32
-
-	// Distribution-task template: task id's pebble is guest taskP[id]
-	// bound for host taskDst[id]. tmplHead/tmplTail/tmplNext are the
-	// initial per-source FIFO queues; stream() copies them at each guest
-	// step and mutates the copies.
-	taskP    []int32
-	taskDst  []int32
-	tmplNext []int32
-	tmplHead []int32
-	tmplTail []int32
-
+// queuedRule runs each distribution phase as per-host FIFO task queues.
+// The queues start identical at every guest step (only the pebble's T
+// differs), so they are laid out once as a template and copied per phase.
+func queuedRule(p *embedPlan, sink StepSink) error {
+	n, m := p.n, p.m
+	// Task k carries guest taskP[k]'s pebble to host p.relDst[k].
+	// tmplHead/tmplTail/tmplNext are the initial per-source FIFO queues.
+	tasks := len(p.relDst)
+	taskP := make([]int32, tasks)
+	tmplNext := make([]int32, tasks)
+	tmplHead := make([]int32, m)
+	tmplTail := make([]int32, m)
+	for q := 0; q < m; q++ {
+		tmplHead[q], tmplTail[q] = -1, -1
+	}
+	totalHops := 0
+	for i := 0; i < n; i++ {
+		src := p.f[i]
+		for k := p.relOff[i]; k < p.relOff[i+1]; k++ {
+			taskP[k] = int32(i)
+			tmplNext[k] = -1
+			if tmplTail[src] < 0 {
+				tmplHead[src] = k
+			} else {
+				tmplNext[tmplTail[src]] = k
+			}
+			tmplTail[src] = k
+			totalHops += p.dist[p.relDst[k]][src]
+		}
+	}
 	// Stall guard for one distribution phase: every host step forwards at
 	// least one task one hop, so the phase ends within totalHops steps;
 	// the slack allows empty scans around phase boundaries.
-	maxSteps int
-}
+	maxSteps := 4*totalHops + 4*m + 16
 
-func newQueuedPlan(guest, host *graph.Graph, f []int, T int) (*queuedPlan, error) {
-	n, m := guest.N(), host.N()
-	if T < 1 {
-		return nil, fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return nil, fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = BalancedAssignment(n, m)
-	}
-	if len(f) != n {
-		return nil, fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return nil, fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
-
-	p := &queuedPlan{guest: guest, host: host, T: T, n: n, m: m}
-
-	p.guestOff = make([]int32, m+1)
-	for _, q := range f {
-		p.guestOff[q+1]++
-	}
-	for q := 0; q < m; q++ {
-		p.guestOff[q+1] += p.guestOff[q]
-		if load := int(p.guestOff[q+1] - p.guestOff[q]); load > p.maxLoad {
-			p.maxLoad = load
-		}
-	}
-	p.guestIDs = make([]int32, n)
-	pos := make([]int32, m)
-	copy(pos, p.guestOff[:m])
-	for i, q := range f {
-		p.guestIDs[pos[q]] = int32(i)
-		pos[q]++
-	}
-
-	// Distance tables are needed only while building the template (for
-	// totalHops); the next-hop tables they derive persist for routing.
-	p.nhop = make([][]int32, m)
-	distCache := make([][]int, m)
-	distTo := func(dst int) []int {
-		if d := distCache[dst]; d != nil {
-			return d
-		}
-		d := host.BFS(dst)
-		distCache[dst] = d
-		nh := make([]int32, m)
-		for at := 0; at < m; at++ {
-			nh[at] = -1
-			for _, w := range host.Neighbors(at) {
-				if d[w] == d[at]-1 {
-					nh[at] = int32(w)
-					break
-				}
-			}
-		}
-		p.nhop[dst] = nh
-		return d
-	}
-
-	p.tmplHead = make([]int32, m)
-	p.tmplTail = make([]int32, m)
-	for q := 0; q < m; q++ {
-		p.tmplHead[q], p.tmplTail[q] = -1, -1
-	}
-	seenStamp := make([]int32, m)
-	seenEpoch := int32(0)
-	totalHops := 0
-	for i := 0; i < n; i++ {
-		seenEpoch++
-		src := f[i]
-		seenStamp[src] = seenEpoch
-		for _, j := range guest.Neighbors(i) {
-			h := f[j]
-			if seenStamp[h] == seenEpoch {
-				continue
-			}
-			seenStamp[h] = seenEpoch
-			id := int32(len(p.taskP))
-			p.taskP = append(p.taskP, int32(i))
-			p.taskDst = append(p.taskDst, int32(h))
-			p.tmplNext = append(p.tmplNext, -1)
-			if p.tmplTail[src] < 0 {
-				p.tmplHead[src] = id
-			} else {
-				p.tmplNext[p.tmplTail[src]] = id
-			}
-			p.tmplTail[src] = id
-			totalHops += distTo(h)[src]
-		}
-	}
-	p.maxSteps = 4*totalHops + 4*m + 16
-	return p, nil
-}
-
-// stream emits the plan's host-step schedule into sink, one AppendStep per
-// host step.
-func (p *queuedPlan) stream(sink StepSink) error {
-	m := p.m
-	next := make([]int32, len(p.tmplNext))
+	next := make([]int32, tasks)
 	head := make([]int32, m)
 	tail := make([]int32, m)
 	busyStamp := make([]int32, m)
 	busyEpoch := int32(0)
 	var opsBuf []Op
+	var err error
 
 	for t := 1; t <= p.T; t++ {
-		// Generation phase: maxLoad host steps, identical to the legacy
-		// builder's schedule.
-		for r := int32(0); r < int32(p.maxLoad); r++ {
-			opsBuf = opsBuf[:0]
-			for q := 0; q < m; q++ {
-				if base := p.guestOff[q]; r < p.guestOff[q+1]-base {
-					opsBuf = append(opsBuf, Op{Kind: Generate, Proc: q, Pebble: Type{P: int(p.guestIDs[base+r]), T: t}})
-				}
-			}
-			if err := sink.AppendStep(opsBuf); err != nil {
-				return err
-			}
+		if opsBuf, err = p.emitGeneration(opsBuf, t, sink); err != nil {
+			return err
 		}
 		if t == p.T {
 			break // final pebbles need not be distributed
@@ -202,14 +83,14 @@ func (p *queuedPlan) stream(sink StepSink) error {
 
 		// Distribution phase: reset the queues from the template and run
 		// the head-of-line forwarding schedule.
-		copy(next, p.tmplNext)
-		copy(head, p.tmplHead)
-		copy(tail, p.tmplTail)
-		pending := len(p.taskP)
+		copy(next, tmplNext)
+		copy(head, tmplHead)
+		copy(tail, tmplTail)
+		pending := tasks
 		guard := 0
 		for pending > 0 {
 			guard++
-			if guard > p.maxSteps {
+			if guard > maxSteps {
 				return fmt.Errorf("pebble: distribution stalled at guest step %d", t)
 			}
 			busyEpoch++
@@ -220,11 +101,8 @@ func (p *queuedPlan) stream(sink StepSink) error {
 					continue
 				}
 				id := head[q]
-				dst := int(p.taskDst[id])
+				dst := int(p.relDst[id])
 				v := int(p.nhop[dst][q])
-				if v < 0 {
-					return fmt.Errorf("pebble: no route from %d to %d", q, dst)
-				}
 				if busyStamp[v] == busyEpoch {
 					continue // head-of-line: queue waits for the next step
 				}
@@ -237,7 +115,7 @@ func (p *queuedPlan) stream(sink StepSink) error {
 				busyStamp[q] = busyEpoch
 				busyStamp[v] = busyEpoch
 				moved++
-				pb := Type{P: int(p.taskP[id]), T: t}
+				pb := Type{P: int(taskP[id]), T: t}
 				opsBuf = append(opsBuf, Op{Kind: Send, Proc: q, Pebble: pb, Peer: v})
 				opsBuf = append(opsBuf, Op{Kind: Receive, Proc: v, Pebble: pb, Peer: q})
 				if dst == v {
@@ -265,9 +143,5 @@ func (p *queuedPlan) stream(sink StepSink) error {
 // BuildQueuedEmbeddingProtocol materializes the queued builder's schedule —
 // the small-n form used by the equivalence tests; big runs stream instead.
 func BuildQueuedEmbeddingProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
-	pr := &Protocol{Guest: guest, Host: host, T: T}
-	if err := StreamQueuedEmbeddingProtocol(guest, host, f, T, &ProtocolSink{Proto: pr}); err != nil {
-		return nil, err
-	}
-	return pr, nil
+	return materializePlan(guest, host, f, T, queuedRule)
 }

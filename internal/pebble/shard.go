@@ -61,11 +61,10 @@ func (s *StreamStats) Slowdown(T int) float64 {
 	return float64(s.HostSteps) / float64(T)
 }
 
-// defaultBarrierWindow is the parallel validator's host-steps-per-barrier-
-// round when ShardedOptions.Window is unset. Big-n steps are microseconds
-// of work; 16 of them per 4-barrier round keeps synchronization under a
-// percent of the step cost without letting the window arena grow past a
-// few hundred KiB.
+// defaultBarrierWindow is the parallel validator's host steps per barrier
+// round. Big-n steps are microseconds of work; 16 of them per 4-barrier
+// round keeps synchronization under a percent of the step cost without
+// letting the window arena grow past a few hundred KiB.
 const defaultBarrierWindow = 16
 
 // ShardedOptions configures ValidateSharded.
@@ -74,11 +73,6 @@ type ShardedOptions struct {
 	// values above the host size) are clamped. 1 runs inline with no
 	// goroutines.
 	Shards int
-	// Window is the number of host steps validated per barrier round when
-	// Shards > 1; values < 1 mean defaultBarrierWindow. Verdicts are
-	// window-size-independent (see the package comment); only the
-	// synchronization amortization changes.
-	Window int
 	// Obs, when non-nil, receives deterministic stream counters (steps, ops
 	// by kind) — schedule-independent by construction, so experiment
 	// metrics stay byte-identical across shard counts and window sizes.
@@ -220,18 +214,21 @@ func checkSpec(sp Spec) error {
 
 // ValidateSharded replays a protocol stream against the lite sharded state
 // and returns its stats. Accept/reject decisions — and the error for a
-// rejected stream — are independent of the shard count and window, and
-// identical to Validate (errors wrapped as "pebble: host step %d: ...",
-// then the final-generator check). Source errors are returned verbatim.
+// rejected stream — are independent of the shard count, and identical to
+// Validate (errors wrapped as "pebble: host step %d: ...", then the
+// final-generator check). Source errors are returned verbatim.
 func ValidateSharded(sp Spec, src StepSource, opts ShardedOptions) (*StreamStats, error) {
+	return validateSharded(sp, src, opts, defaultBarrierWindow)
+}
+
+// validateSharded is ValidateSharded with window host steps per barrier
+// round. Verdicts do not depend on the window (see the package comment);
+// the equivalence suite sweeps it.
+func validateSharded(sp Spec, src StepSource, opts ShardedOptions, window int) (*StreamStats, error) {
 	if err := checkSpec(sp); err != nil {
 		return nil, err
 	}
 	shards := opts.Shards
-	window := opts.Window
-	if window < 1 {
-		window = defaultBarrierWindow
-	}
 	if shards < 1 {
 		shards = 1
 	}

@@ -301,7 +301,7 @@ func TestShardedMatchesDense(t *testing.T) {
 				_, errD := p.Validate()
 				for _, shards := range shardCounts {
 					for _, window := range windows {
-						_, errS := ValidateSharded(p.Spec(), p.Source(), ShardedOptions{Shards: shards, Window: window})
+						_, errS := validateSharded(p.Spec(), p.Source(), ShardedOptions{Shards: shards}, window)
 						if (errD == nil) != (errS == nil) {
 							t.Fatalf("shards=%d window=%d: dense err %v, sharded err %v", shards, window, errD, errS)
 						}

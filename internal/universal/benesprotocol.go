@@ -8,10 +8,9 @@ import (
 	"universalnet/internal/routing"
 )
 
-// benesPlan is the precomputed schedule shared by the materializing and
-// streaming Beneš builders: the generation order, the demand list, the
-// routed permutation rounds, and the exact per-offset op counts (identical
-// for every guest step).
+// benesPlan is the precomputed schedule of BuildBenesProtocol: the
+// generation order, the demand list, the routed permutation rounds, and the
+// exact per-offset op counts (identical for every guest step).
 type benesPlan struct {
 	d, rows, levels int
 	guestsOf        [][]int
@@ -235,73 +234,4 @@ func BuildBenesProtocol(guest *graph.Graph, bh *BenesHost, T int) (*pebble.Proto
 		pr.Steps = pr.Steps[:len(pr.Steps)-1]
 	}
 	return pr, nil
-}
-
-// StreamBenesProtocol emits the same schedule as BuildBenesProtocol through
-// sink, buffering only one guest step's phase window at a time (the
-// interleaved round offsets require it) and reusing those buffers across
-// guest steps — memory is one phase window, not the whole protocol.
-func StreamBenesProtocol(guest *graph.Graph, bh *BenesHost, T int, sink pebble.StepSink) error {
-	plan, err := planBenesProtocol(guest, bh, T)
-	if err != nil {
-		return err
-	}
-	levels := plan.levels
-	genSteps := make([][]pebble.Op, plan.maxLoad)
-	for r := range genSteps {
-		genSteps[r] = make([]pebble.Op, 0, plan.genCount[r])
-	}
-	transferSteps := make([][]pebble.Op, plan.transferLen)
-	for o := range transferSteps {
-		transferSteps[o] = make([]pebble.Op, 0, plan.transferCount[o])
-	}
-	flush := func(steps [][]pebble.Op) error {
-		for o := range steps {
-			if err := sink.AppendStep(steps[o]); err != nil {
-				return err
-			}
-			steps[o] = steps[o][:0]
-		}
-		return nil
-	}
-
-	for t := 1; t <= T; t++ {
-		for r := 0; r < plan.maxLoad; r++ {
-			for q := 0; q < plan.rows; q++ {
-				if r < len(plan.guestsOf[q]) {
-					genSteps[r] = append(genSteps[r], pebble.Op{
-						Kind: pebble.Generate, Proc: plan.node(0, q),
-						Pebble: pebble.Type{P: plan.guestsOf[q][r], T: t},
-					})
-				}
-			}
-		}
-		if err := flush(genSteps); err != nil {
-			return err
-		}
-		if t == T {
-			break
-		}
-		for k, moves := range plan.roundMoves {
-			for _, mv := range moves {
-				pb := pebble.Type{P: plan.demandGuest[mv.demandIdx], T: t}
-				for j := 0; j+1 < levels; j++ {
-					from := plan.node(j, mv.path[j])
-					to := plan.node(j+1, mv.path[j+1])
-					transferSteps[2*k+j] = append(transferSteps[2*k+j],
-						pebble.Op{Kind: pebble.Send, Proc: from, Pebble: pb, Peer: to},
-						pebble.Op{Kind: pebble.Receive, Proc: to, Pebble: pb, Peer: from})
-				}
-				from := plan.node(levels-1, mv.path[levels-1])
-				to := plan.node(0, mv.dstRow)
-				transferSteps[2*k+levels-1] = append(transferSteps[2*k+levels-1],
-					pebble.Op{Kind: pebble.Send, Proc: from, Pebble: pb, Peer: to},
-					pebble.Op{Kind: pebble.Receive, Proc: to, Pebble: pb, Peer: from})
-			}
-		}
-		if err := flush(transferSteps); err != nil {
-			return err
-		}
-	}
-	return nil
 }

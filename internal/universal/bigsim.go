@@ -27,9 +27,6 @@ type StreamRunConfig struct {
 	Shards int
 	// Window is the builder→validator pipe depth in steps; 0 means 4.
 	Window int
-	// BarrierWindow is the validator's host steps per barrier round when
-	// sharded; 0 means the pebble package default.
-	BarrierWindow int
 	// Chunks, when non-nil, receives a tee of the step stream — the archive
 	// that can later be written out with WriteBinary or re-validated.
 	Chunks *pebble.ChunkedLog
@@ -82,6 +79,9 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 	if n == 0 {
 		return nil, fmt.Errorf("universal: streaming run: guest has no processors")
 	}
+	if m == 0 {
+		return nil, fmt.Errorf("universal: streaming run: host has no processors")
+	}
 	if f == nil {
 		f = pebble.BalancedAssignment(n, m)
 	}
@@ -129,7 +129,6 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 	sp := pebble.Spec{Guest: guest, Host: host, T: T}
 	stats, err := pebble.ValidateSharded(sp, pipe, pebble.ShardedOptions{
 		Shards: validateShards,
-		Window: cfg.BarrierWindow,
 		Obs:    cfg.Obs,
 	})
 	pipe.CloseRecv()

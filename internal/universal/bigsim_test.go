@@ -85,13 +85,22 @@ func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
 	}
 }
 
-// TestRunStreamingEmbeddingEmptyGuest: a guest without processors is an
-// input error, not a run reporting inefficiency k = NaN.
+// TestRunStreamingEmbeddingEmptyGuest: a guest or host without processors
+// is an input error, not a run reporting inefficiency k = NaN or a division
+// by zero in the balanced assignment.
 func TestRunStreamingEmbeddingEmptyGuest(t *testing.T) {
 	host, _ := bigsimFixture(t, 0)
-	guest := graph.NewBuilder(0).Build()
-	rep, err := RunStreamingEmbedding(guest, host.Graph, nil, 2, StreamRunConfig{})
+	guest, err := topology.Ring(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := graph.NewBuilder(0).Build()
+	rep, err := RunStreamingEmbedding(empty, host.Graph, nil, 2, StreamRunConfig{})
 	if err == nil || !strings.Contains(err.Error(), "guest has no processors") {
+		t.Fatalf("want a no-processors error, got report %+v, err %v", rep, err)
+	}
+	rep, err = RunStreamingEmbedding(guest, empty, nil, 2, StreamRunConfig{})
+	if err == nil || !strings.Contains(err.Error(), "host has no processors") {
 		t.Fatalf("want a no-processors error, got report %+v, err %v", rep, err)
 	}
 }

@@ -56,11 +56,10 @@ bench-compare:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# Streaming-scale smoke: n=10⁵ build+validate through the streaming
-# pipeline at validator -shards 1 and nproc, under a hard Go heap budget.
-# Asserts peak resident chunk bytes stay within budget + one open chunk and
-# that both runs report the pinned stream fingerprint 77a7ccec037bea7f (see
-# scripts/bigsim_smoke.sh).
+# Streaming-scale smoke: one n=10⁵ build+validate through the streaming
+# pipeline under a hard Go heap budget. Asserts peak resident chunk bytes
+# stay within budget + one open chunk and that the run reports the pinned
+# stream fingerprint 77a7ccec037bea7f (see scripts/bigsim_smoke.sh).
 bigsim-smoke:
 	sh scripts/bigsim_smoke.sh
 

@@ -629,7 +629,7 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 }
 
 // BenchmarkStreamingPipeline runs the streaming data path end to end —
-// queued builder → bounded pipe → sharded validator, with the step stream
+// queued builder → bounded pipe → rule engine, with the step stream
 // teed into a chunked archive — at a size where the materialized and
 // streaming paths can still be cross-checked (E24's small-n regime).
 func BenchmarkStreamingPipeline(b *testing.B) {
@@ -646,7 +646,7 @@ func BenchmarkStreamingPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		chunks := NewChunkedLog(ChunkedLogOptions{TargetChunkBytes: 64 << 10, MemBudgetBytes: 128 << 10})
 		rep, err := RunStreamingEmbedding(guest, host, nil, 2, StreamRunConfig{
-			Shards: 2, Window: 8, Chunks: chunks,
+			Window: 8, Chunks: chunks,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -112,7 +112,7 @@ func cmdTopo(args []string) error {
 	fmt.Printf("topology %s: n=%d m=%d mindeg=%d maxdeg=%d connected=%v\n",
 		*kind, g.N(), g.M(), g.MinDegree(), g.MaxDegree(), g.IsConnected())
 	if g.N() <= 4096 {
-		fmt.Printf("diameter=%d girth=%d\n", g.DiameterParallel(0), g.Girth())
+		fmt.Printf("diameter=%d girth=%d\n", g.Diameter(), g.Girth())
 	}
 	if g.N() >= 4 && g.MinDegree() > 0 {
 		lam, err := expander.SpectralGap(g, 300, *seed)
@@ -365,7 +365,7 @@ func cmdPebble(args []string) error {
 }
 
 // cmdBigsim drives the streaming pipeline at sizes where materializing the
-// protocol is off the table: builder, chunked archive, and sharded validator
+// protocol is off the table: builder, chunked archive, and rule engine
 // run concurrently, and the peak resident chunk bytes are reported (and
 // optionally asserted — the bigsim-smoke CI gate uses that to pin the memory
 // bound).
@@ -375,7 +375,6 @@ func cmdBigsim(args []string) error {
 	deg := fs.Int("deg", 3, "guest degree")
 	hostDim := fs.Int("hostdim", 5, "wrapped-butterfly host dimension")
 	steps := fs.Int("steps", 2, "guest steps")
-	shards := fs.Int("shards", 0, "validator shards (0 = GOMAXPROCS)")
 	window := fs.Int("window", 8, "pipe window in host steps")
 	chunkKB := fs.Int("chunk-kb", 1024, "target chunk size in KiB")
 	budgetKB := fs.Int("budget-kb", 8192, "resident chunk budget in KiB (0 = never spill)")
@@ -417,7 +416,6 @@ func cmdBigsim(args []string) error {
 	})
 	defer chunks.Close()
 	rep, err := universal.RunStreamingEmbedding(guest, host, nil, *steps, universal.StreamRunConfig{
-		Shards:        *shards,
 		Window:        *window,
 		Chunks:        chunks,
 		MeasureStalls: true,
@@ -426,8 +424,8 @@ func cmdBigsim(args []string) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("streaming run: guest n=%d (%d-regular), host m=%d, T=%d, shards=%d, window=%d\n",
-		rep.N, *deg, rep.M, rep.T, rep.ValidateShards, *window)
+	fmt.Printf("streaming run: guest n=%d (%d-regular), host m=%d, T=%d, window=%d\n",
+		rep.N, *deg, rep.M, rep.T, *window)
 	fmt.Printf("host steps T'=%d ops=%d slowdown=%.2f inefficiency k=%.2f maxload=%d (%.1fs)\n",
 		rep.HostSteps, rep.Ops, rep.Slowdown, rep.Inefficiency, rep.MaxLoad, elapsed.Seconds())
 	fmt.Printf("guest generation: %dms\n", guestGen.Milliseconds())

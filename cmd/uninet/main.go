@@ -7,7 +7,7 @@
 //	bound      — evaluate the Theorem 3.1 lower bound k(m)
 //	tradeoff   — print the m·s vs n·log m trade-off table
 //	pebble     — build and validate a pebble-game protocol; print statistics
-//	bigsim     — streaming build+validate at big n (chunked storage, shards)
+//	bigsim     — streaming build+validate at big n (chunked storage)
 //	redblue    — price a protocol under the red-blue cost model (r-sweep, policies)
 //	figure1    — render the Figure 1 dependency tree
 //	experiment — run a subset of the E1..E24 suite (parallel runner, JSON)
@@ -88,7 +88,7 @@ commands:
   bound      -log2m X [-toy]  or  -n N -m M [-toy]
   tradeoff   -n N -ms 256,1024,4096 [-toy]
   pebble     -n N -deg C -hostdim D -steps T [-seed S]
-  bigsim     -n N -deg C -hostdim D -steps T [-shards W] [-window K] [-chunk-kb KB] [-budget-kb KB] [-save F] [-assert-peak-bytes B] [-cpuprofile F] [-memprofile F] [-seed S]
+  bigsim     -n N -deg C -hostdim D -steps T [-window K] [-chunk-kb KB] [-budget-kb KB] [-save F] [-assert-peak-bytes B] [-cpuprofile F] [-memprofile F] [-seed S]
   redblue    -n N -deg C -hostdim D -steps T [-r R1,R2,...] [-policy lru|random|belady|all] [-iocost G] [-computecost C] [-json] [-assert-monotone-io] [-seed S]
   figure1    [-blockside P] [-seed S]
   experiment [-only E1,E4,E12] [-parallel N] [-timeout D] [-json] [-failfast] [-list] [-seed S] [-faults NAME] [-fault-seed S] [-trace F]

@@ -39,7 +39,7 @@ type E24Row struct {
 // butterfly host through the streaming pipeline, one run per guest size,
 // with a chunked archive on a deliberately tight memory budget so the
 // spill path is exercised and the peak-resident bound is measured.
-func E24StreamingScale(ctx context.Context, ns []int, guestDeg, hostDim, T, shards int, seed int64) ([]E24Row, error) {
+func E24StreamingScale(ctx context.Context, ns []int, guestDeg, hostDim, T int, seed int64) ([]E24Row, error) {
 	reg := obs.FromContext(ctx)
 	host, err := universal.ButterflyHost(hostDim)
 	if err != nil {
@@ -65,7 +65,6 @@ func E24StreamingScale(ctx context.Context, ns []int, guestDeg, hostDim, T, shar
 			Obs:              reg,
 		})
 		rep, err := universal.RunStreamingEmbedding(guest, host.Graph, nil, T, universal.StreamRunConfig{
-			Shards: shards,
 			Window: 8,
 			Chunks: chunks,
 			Obs:    reg,

@@ -436,3 +436,23 @@ func TestE5TableAndGapBound(t *testing.T) {
 		t.Error("empty table")
 	}
 }
+
+// TestE26RootSeedsWithDisconnectedRings: at these root seeds every stub
+// matching for E26's 2-regular, 48-vertex guest splits into several cycles,
+// so the guest must come from RandomGuest's random-cycle fallback instead
+// of failing the experiment.
+func TestE26RootSeedsWithDisconnectedRings(t *testing.T) {
+	exps, err := Select([]string{"E26"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{139, 171, 189} {
+		res, err := (&Runner{Workers: 1}).Run(context.Background(), exps, Config{Seed: seed})
+		if err != nil {
+			t.Fatalf("root seed %d: %v", seed, err)
+		}
+		if res[0].Err != nil || res[0].Text == "" {
+			t.Fatalf("root seed %d: E26 err %v, text %q", seed, res[0].Err, res[0].Text)
+		}
+	}
+}

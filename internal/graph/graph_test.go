@@ -571,63 +571,6 @@ func TestGraphJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestEccentricitiesParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := randomGraph(rng, 40, 0.15)
-	ecc, conn := g.Eccentricities(4)
-	_, serialConn := g.ConnectedComponents()
-	_ = serialConn
-	for v := 0; v < g.N(); v++ {
-		want, _ := g.Eccentricity(v)
-		if ecc[v] != want {
-			t.Errorf("ecc[%d] = %d, want %d", v, ecc[v], want)
-		}
-	}
-	if conn != g.IsConnected() {
-		t.Errorf("connected flag %v, want %v", conn, g.IsConnected())
-	}
-}
-
-func TestDiameterParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{10, 25} {
-		g := ringGraph(t, n)
-		if got, want := g.DiameterParallel(3), g.Diameter(); got != want {
-			t.Errorf("n=%d: parallel %d vs serial %d", n, got, want)
-		}
-	}
-	// Disconnected and empty.
-	disc := mustGraph(t, 4, [][2]int{{0, 1}})
-	if d := disc.DiameterParallel(2); d != -1 {
-		t.Errorf("disconnected parallel diameter %d", d)
-	}
-	empty := NewBuilder(0).Build()
-	if d := empty.DiameterParallel(2); d != -1 {
-		t.Errorf("empty parallel diameter %d", d)
-	}
-	if ecc, conn := empty.Eccentricities(2); len(ecc) != 0 || !conn {
-		t.Error("empty eccentricities wrong")
-	}
-}
-
-func TestRadius(t *testing.T) {
-	// Path of 5: center is vertex 2 with eccentricity 2.
-	g := mustGraph(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	if r := g.Radius(2); r != 2 {
-		t.Errorf("radius = %d, want 2", r)
-	}
-	if r := g.Radius(0); r != 2 { // workers=0 ⇒ GOMAXPROCS
-		t.Errorf("radius with default workers = %d", r)
-	}
-	disc := mustGraph(t, 3, [][2]int{{0, 1}})
-	if r := disc.Radius(1); r != -1 {
-		t.Errorf("disconnected radius %d", r)
-	}
-	empty := NewBuilder(0).Build()
-	if r := empty.Radius(1); r != -1 {
-		t.Errorf("empty radius %d", r)
-	}
-}
-
 func TestBuilderAccessors(t *testing.T) {
 	b := NewBuilder(5)
 	if b.N() != 5 {

@@ -74,7 +74,7 @@ func TestValidateSmallProtocolAllocations(t *testing.T) {
 }
 
 // Streaming warm-path budgets: the per-step steady state of the pipeline —
-// pipe hand-off, step codec, and sharded validation — allocates nothing,
+// pipe hand-off, step codec, and stream validation — allocates nothing,
 // matching the dense engine's warm ApplyStep guarantee. These pins are what
 // keeps n = 10⁶ runs out of the allocator entirely.
 
@@ -158,7 +158,7 @@ func TestShardedValidateWarmAllocations(t *testing.T) {
 	sp := pr.Spec()
 	measure := func(reps int) float64 {
 		return testing.AllocsPerRun(50, func() {
-			if _, err := ValidateSharded(sp, &repeatSource{steps: pr.Steps, reps: reps}, ShardedOptions{Shards: 1}); err != nil {
+			if _, err := ValidateSharded(sp, &repeatSource{steps: pr.Steps, reps: reps}, ShardedOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -168,6 +168,6 @@ func TestShardedValidateWarmAllocations(t *testing.T) {
 	extraSteps := float64(20 * len(pr.Steps))
 	perStep := (long - base) / extraSteps
 	if perStep > 0.05 {
-		t.Errorf("sharded validation allocates %.3f per marginal step (budget 0): steady state regressed", perStep)
+		t.Errorf("stream validation allocates %.3f per marginal step (budget 0): steady state regressed", perStep)
 	}
 }

@@ -140,8 +140,8 @@ func NewChunkedLog(opts ChunkedLogOptions) *ChunkedLog {
 }
 
 // Fingerprint returns the FNV-1a hash of the encoded step stream so far —
-// a cheap identity for asserting that two runs (say, different build-shard
-// counts) produced byte-identical protocols.
+// a cheap identity for asserting that two runs (say, before and after a
+// refactor) produced byte-identical protocols.
 func (l *ChunkedLog) Fingerprint() uint64 { return l.fingerprint }
 
 // AppendStep encodes and stores one step.

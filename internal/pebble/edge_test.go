@@ -42,11 +42,8 @@ func TestValidateShardedDegenerateSpecs(t *testing.T) {
 		{"negative horizon", Spec{Guest: guest, Host: host, T: -1}, "negative horizon T=-1"},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 2} {
-			_, err := ValidateSharded(tc.sp, emptySource{}, ShardedOptions{Shards: shards})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s (shards=%d): got %v, want error containing %q", tc.name, shards, err, tc.want)
-			}
+		if _, err := ValidateSharded(tc.sp, emptySource{}, ShardedOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
 		if _, err := NewStreamValidator(tc.sp); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s (StreamValidator): got %v, want error containing %q", tc.name, err, tc.want)
@@ -59,11 +56,8 @@ func TestValidateShardedDegenerateSpecs(t *testing.T) {
 func TestValidateShardedEmptyStream(t *testing.T) {
 	sp := Spec{Guest: mustRing(t, 4), Host: mustRing(t, 4), T: 2}
 	want := "pebble: final pebble (P0,t2) never generated"
-	for _, shards := range []int{1, 3} {
-		_, err := ValidateSharded(sp, emptySource{}, ShardedOptions{Shards: shards})
-		if err == nil || err.Error() != want {
-			t.Errorf("shards=%d: got %v, want %q", shards, err, want)
-		}
+	if _, err := ValidateSharded(sp, emptySource{}, ShardedOptions{}); err == nil || err.Error() != want {
+		t.Errorf("got %v, want %q", err, want)
 	}
 	sv, err := NewStreamValidator(sp)
 	if err != nil {

@@ -44,7 +44,7 @@ func pipelinedRule(p *embedPlan, sink StepSink) error {
 	// Readiness is read off the rule engine the protocol is validated
 	// with, so a builder bug surfaces as an illegal step, not a bad
 	// schedule.
-	v := newShardedValidator(Spec{Guest: p.guest, Host: p.host, T: T}, 1, 1)
+	v := newRuleEngine(Spec{Guest: p.guest, Host: p.host, T: T})
 	nextGen := make([]int, n) // nextGen[i] = t of the next pebble to generate
 	for i := range nextGen {
 		nextGen[i] = 1
@@ -136,7 +136,7 @@ func pipelinedRule(p *embedPlan, sink StepSink) error {
 			return fmt.Errorf("pebble: pipelined builder stalled (remaining generations %d, tasks %d)",
 				remainingGen, len(tasks))
 		}
-		if err := v.applyStepSeq(ops); err != nil {
+		if err := v.applyStep(ops); err != nil {
 			return fmt.Errorf("pebble: pipelined builder emitted illegal step (bug): %w", err)
 		}
 		if err := sink.AppendStep(ops); err != nil {

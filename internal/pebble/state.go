@@ -11,17 +11,17 @@ import (
 // pebbles, who generated what, and when each processor first obtained each
 // pebble (for the frontier analysis of Definition 3.16).
 //
-// Legality and possession belong to the one rule engine, the sequential
-// path of the streaming validator (shard.go), which State embeds: ApplyStep
-// runs the engine on the step and, once the engine accepts it, records the
-// new gains the engine reported in the analysis tables the lemmas query —
-// holders Q_S with their first-held steps, and generators Q'_S. Pebble
+// Legality and possession belong to the one rule engine (engine.go), which
+// State embeds: ApplyStep runs the engine on the step and, once the engine
+// accepts it, records the new gains the engine reported in the analysis
+// tables the lemmas query — holders Q_S with their first-held steps, and
+// generators Q'_S. Pebble
 // (P_i, t) is the dense id t·n + i, so the tables are flat arrays indexed
 // by id, and a warm replay allocates nothing beyond the table entries
 // themselves. See DESIGN.md §2 ("Pebble state: analysis tables over the one
 // engine").
 type State struct {
-	*shardedValidator
+	*ruleEngine
 
 	guest *graph.Graph
 	host  *graph.Graph
@@ -57,19 +57,19 @@ type listEntry struct{ proc, step, next int32 }
 // NewState initializes the start configuration: every host processor holds
 // all initial pebbles (P_i, 0).
 func NewState(guest, host *graph.Graph, T int) *State {
-	v := newShardedValidator(Spec{Guest: guest, Host: host, T: T}, 1, 1)
+	v := newRuleEngine(Spec{Guest: guest, Host: host, T: T})
 	v.trackFresh = true
 	tables := make([]int32, 4*v.numIDs) // one allocation, four per-id tables
 	table := func(k int) []int32 { return tables[k*v.numIDs : (k+1)*v.numIDs : (k+1)*v.numIDs] }
 	st := &State{
-		shardedValidator: v,
-		guest:            guest,
-		host:             host,
-		T:                T,
-		holderHead:       table(0),
-		holderCount:      table(1),
-		genHead:          table(2),
-		genCount:         table(3),
+		ruleEngine:  v,
+		guest:       guest,
+		host:        host,
+		T:           T,
+		holderHead:  table(0),
+		holderCount: table(1),
+		genHead:     table(2),
+		genCount:    table(3),
 	}
 	for id := 0; id < v.numIDs; id++ {
 		st.holderHead[id] = -1
@@ -82,7 +82,7 @@ func NewState(guest, host *graph.Graph, T int) *State {
 }
 
 // HostStep returns the number of host steps applied so far.
-func (st *State) HostStep() int { return st.stepBase }
+func (st *State) HostStep() int { return st.steps }
 
 // Contains reports whether processor q holds pebble ty.
 func (st *State) Contains(q int, ty Type) bool {
@@ -102,7 +102,7 @@ func (st *State) hasGenerator(ty Type) bool {
 // possession after an error is unspecified.
 func (st *State) ApplyStep(ops []Op) error {
 	st.fresh = st.fresh[:0]
-	if err := st.applyStepSeq(ops); err != nil {
+	if err := st.applyStep(ops); err != nil {
 		return err
 	}
 	for i := range ops {
@@ -110,7 +110,7 @@ func (st *State) ApplyStep(ops []Op) error {
 			st.addGenerator(op.Pebble.T*st.n+op.Pebble.P, op.Proc)
 		}
 	}
-	step := int32(st.stepBase)
+	step := int32(st.steps)
 	for _, i := range st.fresh {
 		op := &ops[i]
 		id := op.Pebble.T*st.n + op.Pebble.P
@@ -270,7 +270,7 @@ func (st *State) frontierFor(t int) []int32 {
 			st.frontierStep[i] = -1
 		}
 	}
-	if st.frontierStep[t] == st.stepBase {
+	if st.frontierStep[t] == st.steps {
 		return st.frontierVals[t]
 	}
 	vals := st.frontierVals[t][:0]
@@ -289,7 +289,7 @@ func (st *State) frontierFor(t int) []int32 {
 	}
 	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
 	st.frontierVals[t] = vals
-	st.frontierStep[t] = st.stepBase
+	st.frontierStep[t] = st.steps
 	return vals
 }
 

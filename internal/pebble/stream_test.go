@@ -240,7 +240,7 @@ func TestQueuedBuilderValidates(t *testing.T) {
 		if _, err := pr.Validate(); err != nil {
 			t.Fatalf("seed %d: queued protocol rejected: %v", seed, err)
 		}
-		stats, err := ValidateSharded(pr.Spec(), pr.Source(), ShardedOptions{Shards: 3})
+		stats, err := ValidateSharded(pr.Spec(), pr.Source(), ShardedOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: sharded rejected: %v", seed, err)
 		}
@@ -251,13 +251,10 @@ func TestQueuedBuilderValidates(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesDense extends the oracle seed suite through the sharded
+// TestShardedMatchesDense extends the oracle seed suite through the
 // streaming validator: on valid protocols and mutants alike, accept/reject
-// and the error text must match the dense engine exactly, at every shard
-// count and every barrier window size.
+// and the error text must match the dense engine exactly.
 func TestShardedMatchesDense(t *testing.T) {
-	shardCounts := []int{1, 2, 3, 5}
-	windows := []int{1, 3, 16}
 	for seed := int64(0); seed < 80; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -299,16 +296,12 @@ func TestShardedMatchesDense(t *testing.T) {
 			check := func(p *Protocol) {
 				t.Helper()
 				_, errD := p.Validate()
-				for _, shards := range shardCounts {
-					for _, window := range windows {
-						_, errS := validateSharded(p.Spec(), p.Source(), ShardedOptions{Shards: shards}, window)
-						if (errD == nil) != (errS == nil) {
-							t.Fatalf("shards=%d window=%d: dense err %v, sharded err %v", shards, window, errD, errS)
-						}
-						if errD != nil && errD.Error() != errS.Error() {
-							t.Fatalf("shards=%d window=%d: dense %q, sharded %q", shards, window, errD, errS)
-						}
-					}
+				_, errS := ValidateSharded(p.Spec(), p.Source(), ShardedOptions{})
+				if (errD == nil) != (errS == nil) {
+					t.Fatalf("dense err %v, sharded err %v", errD, errS)
+				}
+				if errD != nil && errD.Error() != errS.Error() {
+					t.Fatalf("dense %q, sharded %q", errD, errS)
 				}
 			}
 			check(pr)
@@ -323,17 +316,15 @@ func TestShardedMatchesDense(t *testing.T) {
 // experiments read.
 func TestShardedStatsMatchProtocol(t *testing.T) {
 	pr := streamFixture(t)
-	for _, shards := range []int{1, 4} {
-		stats, err := ValidateSharded(pr.Spec(), pr.Source(), ShardedOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := pr.Stats()
-		if stats.HostSteps != s.HostSteps || stats.Ops != int64(s.TotalOps) ||
-			stats.Generates != int64(s.Generates) || stats.Sends != int64(s.Sends) ||
-			stats.Receives != int64(s.Receives) || stats.MaxStepOps != s.MaxStepOps {
-			t.Fatalf("shards=%d: stream stats %+v, protocol stats %+v", shards, *stats, s)
-		}
+	stats, err := ValidateSharded(pr.Spec(), pr.Source(), ShardedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pr.Stats()
+	if stats.HostSteps != s.HostSteps || stats.Ops != int64(s.TotalOps) ||
+		stats.Generates != int64(s.Generates) || stats.Sends != int64(s.Sends) ||
+		stats.Receives != int64(s.Receives) || stats.MaxStepOps != s.MaxStepOps {
+		t.Fatalf("stream stats %+v, protocol stats %+v", *stats, s)
 	}
 }
 

@@ -49,7 +49,7 @@ func corrupt(pr *pebble.Protocol, rng *rand.Rand) *pebble.Protocol {
 func compareVerdicts(t *testing.T, pr *pebble.Protocol) {
 	t.Helper()
 	sp := pr.Spec()
-	_, errS := pebble.ValidateSharded(sp, pr.Source(), pebble.ShardedOptions{Shards: 1})
+	_, errS := pebble.ValidateSharded(sp, pr.Source(), pebble.ShardedOptions{})
 	_, errC := ReplayCosted(sp, pr.Source(), DefaultCostModel(0), NewLRU(), Options{})
 	switch {
 	case errS == nil && errC == nil:

@@ -57,9 +57,14 @@ func validTopology(name string, m int) error {
 }
 
 // host returns a Host for the request, consulting the host-graph cache
-// before constructing, and always attaching a fresh router.
+// before constructing, and always attaching a fresh router. Only the
+// expander depends on the seed, so only its key carries it: requests for
+// the other families share one host across seeds.
 func (s *Service) host(name string, m int, seed int64) (*universal.Host, error) {
-	key := fmt.Sprintf("host|%s|%d|%d", name, m, seed)
+	key := fmt.Sprintf("host|%s|%d", name, m)
+	if name == "expander" {
+		key += fmt.Sprintf("|%d", seed)
+	}
 	he, err := s.hosts.GetOrCompute(key, func() (hostEntry, error) {
 		h, err := buildHost(name, m, seed)
 		if err != nil {

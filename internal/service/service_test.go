@@ -272,6 +272,30 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 	}
 }
 
+// TestHostCacheAcrossSeeds: a torus does not depend on the seed, so two
+// simulate requests that differ only in seed build the host once, while two
+// expanders with different seeds are two hosts.
+func TestHostCacheAcrossSeeds(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	ctx := context.Background()
+	for _, seed := range []int64{1, 2} {
+		if _, err := s.Simulate(ctx, SimulateRequest{Topology: "torus", N: 64, M: 16, Seed: seed, Steps: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Status().Hosts; st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("torus at two seeds: host cache %+v, want one miss, one hit, one entry", st)
+	}
+	for _, seed := range []int64{1, 2} {
+		if _, err := s.Simulate(ctx, SimulateRequest{Topology: "expander", N: 64, M: 16, Seed: seed, Steps: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Status().Hosts; st.Misses != 3 || st.Entries != 3 {
+		t.Fatalf("expander at two seeds: host cache %+v, want three misses and entries in all", st)
+	}
+}
+
 // TestSharedScheduleCache: two different requests over the same host and
 // relation shape share routing schedules through the service-wide cache.
 func TestSharedScheduleCache(t *testing.T) {

@@ -135,7 +135,10 @@ func tryDegreeSequence(rng *rand.Rand, seq []int, forbidden *graph.Graph) (*grap
 
 // RandomGuest samples a random c-regular n-vertex guest network from the
 // class 𝒰' of Section 3 (c = 16 in the paper). It retries until the graph is
-// connected, which holds with overwhelming probability for c ≥ 3.
+// connected, which holds with overwhelming probability for c ≥ 3. For c = 2
+// a connected sample is a Hamiltonian cycle, which one stub matching hits
+// only with probability ≈ 0.18 at n = 48; when every attempt misses, the
+// guest is a random cycle drawn from the same rng.
 func RandomGuest(rng *rand.Rand, n, c int) (*graph.Graph, error) {
 	if n*c%2 != 0 {
 		return nil, fmt.Errorf("topology: n·c = %d·%d is odd", n, c)
@@ -148,6 +151,14 @@ func RandomGuest(rng *rand.Rand, n, c int) (*graph.Graph, error) {
 		if g.IsConnected() {
 			return g, nil
 		}
+	}
+	if c == 2 {
+		order := rng.Perm(n)
+		b := graph.NewBuilder(n)
+		for k, v := range order {
+			b.MustAddEdge(v, order[(k+1)%n])
+		}
+		return b.Build(), nil
 	}
 	return nil, ErrGenerationFailed
 }

@@ -3,7 +3,6 @@ package universal
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"universalnet/internal/graph"
@@ -15,16 +14,12 @@ import (
 // pipeline connected by a bounded pebble.Pipe, so the protocol never exists
 // as a whole — the working set is the pipe window plus the validator's
 // possession bitsets (and, optionally, the chunked archive's resident
-// window). The builder runs serially on its own goroutine; validation
-// shards across Shards possession shards under a windowed barrier. This is
-// the path that takes E1-style validation to n = 10⁶ guest processors on
-// laptop RAM.
+// window). The builder runs on its own goroutine and the rule engine
+// validates on the caller's. This is the path that takes E1-style
+// validation to n = 10⁶ guest processors on laptop RAM.
 
 // StreamRunConfig tunes the streaming pipeline.
 type StreamRunConfig struct {
-	// Shards is the validator parallelism (clamped to [1, m]); 0 means
-	// GOMAXPROCS.
-	Shards int
 	// Window is the builder→validator pipe depth in steps; 0 means 4.
 	Window int
 	// Chunks, when non-nil, receives a tee of the step stream — the archive
@@ -50,8 +45,8 @@ type StreamRunReport struct {
 	Ops          int64
 	Slowdown     float64
 	Inefficiency float64
-	// Resolved parallelism: BuildShards is always 1 (the builder is
-	// serial), ValidateShards the validator shards after auto-sizing.
+	// BuildShards and ValidateShards are always 1 (builder and validator are
+	// sequential); kept for report consumers that print them.
 	BuildShards, ValidateShards int
 	// Pipeline profile (nonzero only with MeasureStalls). SendStallNs is
 	// the builder blocked on the pipe; RecvStallNs the validator waiting
@@ -61,13 +56,13 @@ type StreamRunReport struct {
 	// Chunk storage profile (nonzero only with a chunk tee).
 	EncodedBytes, PeakChunkBytes, SpilledBytes int64
 	// Fingerprint is the chunk archive's stream fingerprint (zero without a
-	// chunk tee) — byte-identity across shard counts is asserted on it.
+	// chunk tee) — byte-identity of the schedule is asserted on it.
 	Fingerprint uint64
 }
 
 // RunStreamingEmbedding builds the queued embedding schedule for guest on
 // host under assignment f (nil = balanced) and validates it concurrently
-// through the sharded streaming validator. Validation failure abandons the
+// through the pebble rule engine. Validation failure abandons the
 // pipe, which unblocks and stops the builder; cancelling cfg.Ctx tears both
 // stages down — no goroutine outlives the call either way.
 func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamRunConfig) (*StreamRunReport, error) {
@@ -88,13 +83,6 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 	window := cfg.Window
 	if window <= 0 {
 		window = 4
-	}
-	validateShards := cfg.Shards
-	if validateShards <= 0 {
-		validateShards = runtime.GOMAXPROCS(0)
-	}
-	if validateShards > m {
-		validateShards = m
 	}
 
 	pipe := pebble.NewPipe(window)
@@ -127,10 +115,7 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 	}
 
 	sp := pebble.Spec{Guest: guest, Host: host, T: T}
-	stats, err := pebble.ValidateSharded(sp, pipe, pebble.ShardedOptions{
-		Shards: validateShards,
-		Obs:    cfg.Obs,
-	})
+	stats, err := pebble.ValidateSharded(sp, pipe, pebble.ShardedOptions{Obs: cfg.Obs})
 	pipe.CloseRecv()
 	<-builderDone
 	if err != nil {
@@ -148,7 +133,7 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 		Slowdown:       stats.Slowdown(T),
 		Inefficiency:   stats.Slowdown(T) * float64(m) / float64(n),
 		BuildShards:    1,
-		ValidateShards: validateShards,
+		ValidateShards: 1,
 	}
 	if cfg.MeasureStalls {
 		rep.SendStallNs, rep.RecvStallNs = pipe.Stalls()

@@ -29,7 +29,7 @@ func bigsimFixture(t testing.TB, n int) (*Host, func() *pebble.ChunkedLog) {
 }
 
 // TestRunStreamingEmbeddingCancel: a pre-cancelled context tears the whole
-// pipeline down — builder, watcher, validator shards — with ctx.Err() as
+// pipeline down — builder, watcher, validator — with ctx.Err() as
 // the verdict and no goroutine left behind.
 func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -42,7 +42,6 @@ func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = RunStreamingEmbedding(guest, host.Graph, nil, 3, StreamRunConfig{
-		Shards: 2,
 		Window: 2,
 		Ctx:    ctx,
 	})
@@ -61,9 +60,9 @@ func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	}
 }
 
-// TestRunStreamingEmbeddingAutoSizing: zero config resolves the validator
-// shards from GOMAXPROCS, and the builder reports its one serial worker.
-func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
+// TestRunStreamingEmbeddingSequential: builder and validator each report
+// one sequential worker, whatever GOMAXPROCS is.
+func TestRunStreamingEmbeddingSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	guest, err := topology.RandomGuest(rng, 500, 3)
 	if err != nil {
@@ -74,14 +73,9 @@ func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBuild := 1
-	wantValidate := runtime.GOMAXPROCS(0)
-	if m := host.Graph.N(); wantValidate > m {
-		wantValidate = m
-	}
-	if rep.BuildShards != wantBuild || rep.ValidateShards != wantValidate {
-		t.Fatalf("auto-sized to build=%d validate=%d, want build=%d validate=%d",
-			rep.BuildShards, rep.ValidateShards, wantBuild, wantValidate)
+	if rep.BuildShards != 1 || rep.ValidateShards != 1 {
+		t.Fatalf("reported build=%d validate=%d shards, want 1 and 1",
+			rep.BuildShards, rep.ValidateShards)
 	}
 }
 

@@ -3,6 +3,7 @@ package universal
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"universalnet/internal/faults"
 	"universalnet/internal/graph"
@@ -23,9 +24,18 @@ var ErrUnrecoverable = errors.New("universal: unrecoverable fault")
 // processors forces the run from size m down to m−k, and the reported
 // slowdown measures the move along the m·s = Ω(n·log m) curve.
 //
-// Redundancy is the recovery substrate (the §1 dynamic-embedding
-// observation realized by RedundantSimulator): each guest is simulated by
-// one or more replicas on distinct hosts. When a host crashes,
+// With no plan it is the replicated simulator of the m ≥ n regime. The
+// paper's §1 observes that dynamic embeddings (several representatives per
+// guest processor) increase efficiency when m > n ([14]: an n^{1+ε}-size
+// universal network with constant slowdown) but not when m ≤ n (this
+// paper's tightness result). Each guest is simulated by one or more
+// replicas on distinct hosts; every replica recomputes the guest step
+// locally and fetches each neighbor's state from the NEAREST replica of that
+// neighbor, so replication multiplies compute work by r but shrinks routing
+// distances — the trade the m > n regime exploits (E16).
+//
+// The same redundancy is the recovery substrate under faults. When a host
+// crashes,
 //
 //   - guests whose primary replica died fail over to the surviving replica
 //     nearest to the crash site;
@@ -41,15 +51,31 @@ var ErrUnrecoverable = errors.New("universal: unrecoverable fault")
 // execution.
 type FaultTolerantSimulator struct {
 	Host *Host
-	// Replicas[i] lists the host processors simulating guest i, as in
-	// RedundantSimulator. Nil selects the balanced single assignment
-	// i mod m (no redundancy: any crash of a populated host is fatal).
+	// Replicas[i] lists the host processors simulating guest i (non-empty,
+	// distinct); PlaceReplicas draws a random balanced placement. Nil
+	// selects the balanced single assignment i mod m (no redundancy: any
+	// crash of a populated host is fatal).
 	Replicas [][]int
 	// Plan is the fault schedule; nil means an ideal host.
 	Plan *faults.Plan
 	// Obs, when non-nil, receives the run's fault counters (failover and
 	// re-embedding events included), host-step histogram, and a run span.
 	Obs *obs.Registry
+}
+
+// PlaceReplicas assigns r distinct random host processors to each of n
+// guests, balancing load (total replica count r·n may exceed m; a host may
+// hold replicas of several guests but at most one replica of each).
+func PlaceReplicas(n, m, r int, rng *rand.Rand) ([][]int, error) {
+	if r < 1 || r > m {
+		return nil, fmt.Errorf("universal: replication factor %d outside [1,%d]", r, m)
+	}
+	replicas := make([][]int, n)
+	for i := 0; i < n; i++ {
+		perm := rng.Perm(m)
+		replicas[i] = append([]int(nil), perm[:r]...)
+	}
+	return replicas, nil
 }
 
 // FaultReport extends RunReport with fault accounting.
@@ -59,6 +85,9 @@ type FaultReport struct {
 	InitialHosts   int // m before any fault
 	SurvivingHosts int // m − crashes at the end of the run
 	Replication    int // largest replica count of any guest at the start
+	// AvgFetchDist is the mean host distance of the initial placement's
+	// neighbor fetches, each from the nearest replica (0 for a local one).
+	AvgFetchDist float64
 }
 
 // Run simulates T steps of c under the plan. On success the returned trace
@@ -147,7 +176,7 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 		return d
 	}
 
-	// Replica-local states, as in RedundantSimulator.
+	// Replica-local states: state[i][ri] belongs to replica ri of guest i.
 	state := make([][]sim.State, n)
 	for i := range state {
 		state[i] = make([]sim.State, len(reps[i]))
@@ -169,10 +198,11 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 	var fetches []fetch
 	var pairs []routing.Pair
 	maxLoad := 0
-	placementDirty := true
+	fetchDist, fetchCount := 0, 0
 	rebuildDemands := func() error {
 		fetches = fetches[:0]
 		pairs = pairs[:0]
+		fetchDist, fetchCount = 0, 0
 		load := make([]int, m)
 		for _, r := range reps {
 			for _, q := range r {
@@ -202,6 +232,8 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 						return fmt.Errorf("universal: guest %d partitioned from every replica of neighbor %d: %w",
 							j, i, ErrUnrecoverable)
 					}
+					fetchDist += best
+					fetchCount++
 					if src != q {
 						fetches = append(fetches, fetch{guest: i, from: src, forRepl: ri, neighJ: j})
 						pairs = append(pairs, routing.Pair{Src: src, Dst: q})
@@ -210,6 +242,13 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 			}
 		}
 		return nil
+	}
+	if err := rebuildDemands(); err != nil {
+		return nil, err
+	}
+	placementDirty := false
+	if fetchCount > 0 {
+		rep.AvgFetchDist = float64(fetchDist) / float64(fetchCount)
 	}
 
 	hostStepHist := ft.Obs.Histogram("universal.host_steps_per_guest_step", hostStepBuckets)

@@ -199,7 +199,7 @@ func TestFaultTolerantDeterministic(t *testing.T) {
 }
 
 // TestNearestReplicaFetchDistance pins the nearest-replica selection of
-// RedundantSimulator with a hand-computed instance: two adjacent guests on
+// FaultTolerantSimulator with a hand-computed instance: two adjacent guests on
 // an 8-ring, replicas at hosts {0} and {3, 7}. The three fetches travel
 // distances 1 (0←7), 3 (3←0) and 1 (7←0): average 5/3.
 func TestNearestReplicaFetchDistance(t *testing.T) {
@@ -217,7 +217,7 @@ func TestNearestReplicaFetchDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&RedundantSimulator{Host: host, Replicas: [][]int{{0}, {3, 7}}}).Run(comp, 3)
+	rep, err := (&FaultTolerantSimulator{Host: host, Replicas: [][]int{{0}, {3, 7}}}).Run(comp, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

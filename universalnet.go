@@ -146,11 +146,12 @@ type (
 )
 
 var (
-	// ValidateSharded checks a step stream against the pebble-game rules with
-	// possession-bitset shards, using memory independent of op count.
+	// ValidateSharded checks a step stream against the pebble-game rules in
+	// one sequential pass over possession bitsets, using memory independent
+	// of op count. The name predates the single-threaded engine.
 	ValidateSharded = pebble.ValidateSharded
-	// RunStreamingEmbedding runs builder and sharded validator as a
-	// concurrent pipeline over a bounded step pipe.
+	// RunStreamingEmbedding runs the builder and the rule engine as a
+	// two-stage pipeline over a bounded step pipe.
 	RunStreamingEmbedding = universal.RunStreamingEmbedding
 	// NewStepPipe creates the bounded builder→validator step channel.
 	NewStepPipe = pebble.NewPipe
@@ -267,8 +268,9 @@ var (
 	PlaceReplicas = universal.PlaceReplicas
 )
 
-// RedundantSimulator simulates with replicated guests (the m > n regime).
-type RedundantSimulator = universal.RedundantSimulator
+// FaultTolerantSimulator simulates with replicated guests (the m > n
+// regime), optionally under a fault plan.
+type FaultTolerantSimulator = universal.FaultTolerantSimulator
 
 // BenesHost is the wrapped Beneš host of Theorem 2.1's proof.
 type BenesHost = universal.BenesHost

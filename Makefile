@@ -9,6 +9,10 @@ GO ?= go
 BENCH_TOL_NS ?= 25
 BENCH_TOL_BYTES ?= 10
 BENCH_TOL_ALLOCS ?= 10
+# bench-json and bench-compare run every benchmark this many times and
+# benchjson keeps each benchmark's per-field median, so a single noisy run
+# neither sets the baseline nor trips the gate.
+BENCH_COUNT := 5
 
 all: build test
 
@@ -32,21 +36,23 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark baseline: BENCH_<date>.json maps each benchmark
-# name to ns/op, B/op, and allocs/op (see README "Benchmark baselines").
+# name to its median ns/op, B/op, and allocs/op over $(BENCH_COUNT) runs (see
+# README "Benchmark baselines").
 bench-json:
-	$(GO) test -bench=. -benchmem -run=^$$ ./... | $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d).json
+	$(GO) test -bench=. -benchmem -count=$(BENCH_COUNT) -run=^$$ ./... | $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d).json
 	@echo "wrote BENCH_$$(date +%Y-%m-%d).json"
 
-# Regression gate: measure afresh and diff against the newest committed
-# BENCH_*.json baseline. Exits non-zero when any shared benchmark exceeds the
-# explicit tolerances above (ns/op +$(BENCH_TOL_NS)%, B/op +$(BENCH_TOL_BYTES)%,
-# allocs/op +$(BENCH_TOL_ALLOCS)%). Required in CI.
+# Regression gate: measure afresh ($(BENCH_COUNT) runs, per-benchmark median)
+# and diff against the newest committed BENCH_*.json baseline. Exits non-zero
+# when any shared benchmark's median exceeds the explicit tolerances above
+# (ns/op +$(BENCH_TOL_NS)%, B/op +$(BENCH_TOL_BYTES)%, allocs/op
+# +$(BENCH_TOL_ALLOCS)%). Required in CI.
 bench-compare:
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort | tail -1); \
 	if [ -z "$$base" ]; then echo "no committed BENCH_*.json baseline"; exit 1; fi; \
 	echo "comparing against $$base"; \
 	tmp=$$(mktemp); \
-	$(GO) test -bench=. -benchmem -run=^$$ ./... | $(GO) run ./cmd/benchjson > $$tmp || { rm -f $$tmp; exit 1; }; \
+	$(GO) test -bench=. -benchmem -count=$(BENCH_COUNT) -run=^$$ ./... | $(GO) run ./cmd/benchjson > $$tmp || { rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -compare $$base $$tmp \
 		-tol-ns $(BENCH_TOL_NS) -tol-bytes $(BENCH_TOL_BYTES) -tol-allocs $(BENCH_TOL_ALLOCS); \
 	status=$$?; rm -f $$tmp; exit $$status

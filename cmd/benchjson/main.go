@@ -10,8 +10,10 @@
 // skipped, and the -benchmem columns are read wherever they appear.
 // Everything else (pass/fail markers, package headers, goos/goarch banners)
 // is ignored. The trailing -N GOMAXPROCS suffix is stripped so baselines
-// compare across machines. Output is a single indented JSON object sorted by
-// benchmark name:
+// compare across machines. A name that repeats (`go test -count=N`) is
+// reduced to the median of each field over its runs, so one noisy run
+// cannot move the baseline. Output is a single indented JSON object sorted
+// by benchmark name:
 //
 //	{
 //	  "BenchmarkE1Suite": {"ns_per_op": 95310417, "bytes_per_op": 4240168, "allocs_per_op": 31456, "iterations": 12}
@@ -36,6 +38,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,9 +64,10 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S*)\s+(\d+)\s+(.*)$`)
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // parse reads benchmark text from r and returns name → measurement. A name
-// appearing twice (e.g. -count > 1) keeps the last occurrence.
+// appearing more than once (-count > 1) maps to the per-field median of its
+// runs.
 func parse(r io.Reader) (map[string]Measurement, error) {
-	out := make(map[string]Measurement)
+	runs := make(map[string][]Measurement)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -94,12 +98,36 @@ func parse(r io.Reader) (map[string]Measurement, error) {
 		if !hasNs {
 			continue
 		}
-		out[name] = meas
+		runs[name] = append(runs[name], meas)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	out := make(map[string]Measurement, len(runs))
+	for name, ms := range runs {
+		out[name] = Measurement{
+			NsPerOp:     median(ms, func(m Measurement) float64 { return m.NsPerOp }),
+			BytesPerOp:  int64(median(ms, func(m Measurement) float64 { return float64(m.BytesPerOp) })),
+			AllocsPerOp: int64(median(ms, func(m Measurement) float64 { return float64(m.AllocsPerOp) })),
+			Iterations:  int64(median(ms, func(m Measurement) float64 { return float64(m.Iterations) })),
+		}
+	}
 	return out, nil
+}
+
+// median returns the median of field over ms; an even count averages the
+// two middle values.
+func median(ms []Measurement, field func(Measurement) float64) float64 {
+	vals := make([]float64, len(ms))
+	for i, m := range ms {
+		vals[i] = field(m)
+	}
+	slices.Sort(vals)
+	mid := len(vals) / 2
+	if len(vals)%2 == 1 {
+		return vals[mid]
+	}
+	return (vals[mid-1] + vals[mid]) / 2
 }
 
 func run(in io.Reader, out io.Writer) error {

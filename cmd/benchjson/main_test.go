@@ -62,6 +62,30 @@ func TestParseReportMetricColumns(t *testing.T) {
 	}
 }
 
+// TestParseRepeatedNamesTakeMedian: -count=N prints each benchmark N
+// times; every field is reduced to its own median, so one outlier run
+// moves nothing and an even count averages the middle pair.
+func TestParseRepeatedNamesTakeMedian(t *testing.T) {
+	const runs = `BenchmarkX-2   10   300 ns/op   50 B/op   7 allocs/op
+BenchmarkX-2   12   100 ns/op   40 B/op   5 allocs/op
+BenchmarkX-2   11  9000 ns/op   60 B/op   5 allocs/op
+BenchmarkX-2    9   200 ns/op   45 B/op   6 allocs/op
+BenchmarkX-2   13   250 ns/op   42 B/op   6 allocs/op
+BenchmarkY-2    4    10 ns/op   11 B/op   1 allocs/op
+BenchmarkY-2    6    30 ns/op   13 B/op   3 allocs/op
+`
+	got, err := parse(strings.NewReader(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, want := got["BenchmarkX"], (Measurement{NsPerOp: 250, BytesPerOp: 45, AllocsPerOp: 6, Iterations: 11}); x != want {
+		t.Errorf("odd count: got %+v, want %+v", x, want)
+	}
+	if y, want := got["BenchmarkY"], (Measurement{NsPerOp: 20, BytesPerOp: 12, AllocsPerOp: 2, Iterations: 5}); y != want {
+		t.Errorf("even count: got %+v, want %+v", y, want)
+	}
+}
+
 func TestRunEmitsSortedJSON(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(strings.NewReader(sample), &out); err != nil {

@@ -68,4 +68,32 @@ func TestBuilderGoldenFingerprints(t *testing.T) {
 			}
 		})
 	}
+
+	// The 40-guest matrix keeps the queued builder's per-host task queues
+	// short. Here 2000 guests share 16 or 24 hosts, so every queue starts
+	// hundreds of tasks deep, and relay hosts keep taking tasks in while
+	// they forward others, so queues grow well past their starting length.
+	t.Run("queued-large", func(t *testing.T) {
+		big, err := topology.RandomGuest(rand.New(rand.NewSource(11)), 2000, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		butterfly, err := topology.WrappedButterfly(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := NewChunkedLog(ChunkedLogOptions{})
+		for hi, host := range []*graph.Graph{torus, butterfly} {
+			for _, f := range [][]int{nil, RandomizedAssignment(big.N(), host.N(), 7)} {
+				for T := 2; T <= 3; T++ {
+					if err := StreamQueuedEmbeddingProtocol(big, host, f, T, log); err != nil {
+						t.Fatalf("host %d, T=%d: %v", hi, T, err)
+					}
+				}
+			}
+		}
+		if got, want := fmt.Sprintf("%016x", log.Fingerprint()), "5cb78ca3238fe0b1"; got != want {
+			t.Fatalf("fingerprint %s, want %s (%d steps)", got, want, log.Steps())
+		}
+	})
 }

@@ -135,6 +135,35 @@ func TestStepCodecWarmAllocations(t *testing.T) {
 	}
 }
 
+// TestChunkedLogSpillAllocations: a spilling log encodes every new chunk
+// into the buffer of the chunk spilled before it, so filling and spilling
+// N chunks costs a number of allocations that does not grow with N (bar the
+// chunk index's O(log N) doublings).
+func TestChunkedLogSpillAllocations(t *testing.T) {
+	step := make([]Op, 16)
+	for j := range step {
+		step[j] = Op{Kind: Send, Proc: j, Pebble: Type{P: 1000 + j, T: 3}, Peer: j + 1}
+	}
+	dir := t.TempDir()
+	measure := func(chunks int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			log := NewChunkedLog(ChunkedLogOptions{TargetChunkBytes: 1024, MemBudgetBytes: 2048, SpillDir: dir})
+			for log.SpilledBytes() < int64(chunks*1024) {
+				if err := log.AppendStep(step); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := measure(16), measure(256)
+	if extra := many - few; extra > 16 {
+		t.Errorf("spilling 240 more chunks cost %.0f more allocations (budget 16): spilled chunk buffers are not reused", extra)
+	}
+}
+
 // repeatSource replays the same materialized steps r times — legal input
 // (regenerating held pebbles passes checkGenerate), which isolates the
 // validator's per-step marginal cost from its fixed setup cost.

@@ -9,11 +9,10 @@ import (
 
 // discardSink drops every step: it isolates a builder's own cost from the
 // encoding, pipe and validation stages that follow it in a streaming run.
-type discardSink struct{ steps, ops int }
+type discardSink struct{ steps int }
 
-func (s *discardSink) AppendStep(ops []Op) error {
+func (s *discardSink) AppendStep([]Op) error {
 	s.steps++
-	s.ops += len(ops)
 	return nil
 }
 

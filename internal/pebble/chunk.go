@@ -14,9 +14,11 @@ import (
 // Chunked protocol storage. Steps are encoded into a compact varint binary
 // format and accumulated into chunks of ~TargetChunkBytes; when the
 // resident encoded bytes exceed MemBudgetBytes, sealed chunks spill to a
-// temporary file oldest-first. A ChunkedLog is a StepSink; Source() replays
-// it (loading spilled chunks back one at a time through a reused buffer),
-// and Materialize turns it back into a Protocol for the small-n analyses.
+// temporary file oldest-first, and the buffer of the chunk that spilled
+// last is kept as the one spare that the next chunk is encoded into. A
+// ChunkedLog is a StepSink; Source() replays it (loading spilled chunks
+// back one at a time through a reused buffer), and Materialize turns it
+// back into a Protocol for the small-n analyses.
 //
 // Encoding per step: uvarint op count, then per op five zigzag varints —
 // kind, proc, pebble.P, pebble.T, peer. Signed varints make the codec
@@ -83,7 +85,9 @@ type ChunkedLogOptions struct {
 	// Default 1 MiB.
 	TargetChunkBytes int
 	// MemBudgetBytes spills sealed chunks (oldest first) to a temp file once
-	// resident encoded bytes exceed it. 0 keeps everything in memory.
+	// resident encoded bytes exceed it. 0 keeps everything in memory. While
+	// appending, a spilling log holds at most the budget plus the open chunk
+	// plus one spare chunk buffer, recycled from the last spill.
 	MemBudgetBytes int64
 	// SpillDir is where the spill file is created; empty uses os.TempDir().
 	SpillDir string
@@ -109,6 +113,10 @@ type ChunkedLog struct {
 
 	cur      []byte
 	curSteps int
+	// spare is the buffer of the chunk spilled last, handed to the next cur
+	// so that a spilling log reuses one buffer instead of allocating a
+	// chunk per seal.
+	spare []byte
 
 	steps        int
 	totalBytes   int64
@@ -154,7 +162,11 @@ func (l *ChunkedLog) AppendStep(ops []Op) error {
 		return l.err
 	}
 	if l.cur == nil {
-		l.cur = make([]byte, 0, l.opts.TargetChunkBytes+l.opts.TargetChunkBytes/8)
+		if l.spare != nil {
+			l.cur, l.spare = l.spare[:0], nil
+		} else {
+			l.cur = make([]byte, 0, l.opts.TargetChunkBytes+l.opts.TargetChunkBytes/8)
+		}
 	}
 	before := len(l.cur)
 	l.cur = appendStepBytes(l.cur, ops)
@@ -214,7 +226,7 @@ func (l *ChunkedLog) maybeSpill() error {
 		}
 		c.spillOff = l.spillOff
 		c.spilled = true
-		c.data = nil
+		l.spare, c.data = c.data, nil
 		l.spillOff += int64(c.size)
 		l.resident -= int64(c.size)
 		l.spilledBytes += int64(c.size)
@@ -247,6 +259,7 @@ func (l *ChunkedLog) SpilledBytes() int64 { return l.spilledBytes }
 func (l *ChunkedLog) Source() StepSource {
 	if !l.frozen {
 		l.frozen = true
+		l.spare = nil // no more chunks to encode
 		if l.curSteps > 0 {
 			l.chunks = append(l.chunks, chunkMeta{data: l.cur, steps: l.curSteps, size: len(l.cur)})
 			l.resident += int64(len(l.cur))
@@ -268,6 +281,7 @@ func (l *ChunkedLog) Source() StepSource {
 // caller would never learn about, let alone remove.
 func (l *ChunkedLog) Close() error {
 	err := l.removeSpillFile()
+	l.spare = nil
 	if l.err == nil {
 		l.err = fmt.Errorf("pebble: chunk: log closed")
 	}

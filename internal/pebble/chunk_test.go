@@ -194,7 +194,9 @@ func FuzzStepCodec(f *testing.F) {
 }
 
 // TestChunkedLogLargeRandomStream stresses chunk boundaries with irregular
-// step sizes.
+// step sizes. Most chunks spill, so most are encoded into the buffer of the
+// chunk spilled before them; the replay and the fingerprint must match a
+// log that never spills.
 func TestChunkedLogLargeRandomStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var steps [][]Op
@@ -211,10 +213,20 @@ func TestChunkedLogLargeRandomStream(t *testing.T) {
 		steps = append(steps, step)
 	}
 	log := NewChunkedLog(ChunkedLogOptions{TargetChunkBytes: 512, MemBudgetBytes: 2048, SpillDir: t.TempDir()})
+	whole := NewChunkedLog(ChunkedLogOptions{TargetChunkBytes: 512})
 	for _, s := range steps {
 		if err := log.AppendStep(s); err != nil {
 			t.Fatal(err)
 		}
+		if err := whole.AppendStep(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spilled, total := log.SpilledBytes(), log.TotalBytes(); spilled < total/2 {
+		t.Fatalf("only %d of %d bytes spilled", spilled, total)
+	}
+	if got, want := log.Fingerprint(), whole.Fingerprint(); got != want {
+		t.Fatalf("spilling log fingerprint %x, whole log %x", got, want)
 	}
 	src := log.Source()
 	for i, want := range steps {

@@ -251,6 +251,106 @@ func TestQueuedBuilderValidates(t *testing.T) {
 	}
 }
 
+// TestTaskQueuesFIFOAcrossBlocks: the queued builder's per-host queues
+// keep FIFO order as they run across block boundaries and reuse freed
+// blocks, and a pool sized for the task count never runs out, even with
+// every task queued at once and spread unevenly over the hosts.
+func TestTaskQueuesFIFOAcrossBlocks(t *testing.T) {
+	task := func(k int) queuedTask { return queuedTask{guest: int32(k), dst: int32(-k)} }
+	qs := newTaskQueues(1, 32)
+	if qs.blockLen != 4 {
+		t.Fatalf("block length %d for 32 tasks on one host, want 4", qs.blockLen)
+	}
+	qs.clear()
+	for k := 0; k < 10; k++ {
+		qs.push(0, task(k)) // blocks of 4, 4 and 2
+	}
+	for k := 0; k < 5; k++ {
+		if got := qs.pop(0); got != task(k) {
+			t.Fatalf("pop %+v, want %+v", got, task(k))
+		}
+	}
+	if qs.free < 0 || qs.hosts[0].hi != 1 {
+		t.Fatalf("spent head block not freed: free=%d hi=%d", qs.free, qs.hosts[0].hi)
+	}
+	for k := 10; k < 16; k++ {
+		qs.push(0, task(k)) // the tail takes the freed block
+	}
+	for k := 5; k < 16; k++ {
+		if got := qs.pop(0); got != task(k) {
+			t.Fatalf("pop %+v, want %+v", got, task(k))
+		}
+	}
+	if qs.hosts[0].n != 0 {
+		t.Fatalf("%d tasks left after draining", qs.hosts[0].n)
+	}
+
+	// The pool's worst case: every task queued at once, each host's head
+	// block down to its last task and its tail block holding one.
+	qs = newTaskQueues(2, 64) // 4-task blocks, 16 + 2·2 of them
+	qs.clear()
+	want := make([][]queuedTask, 2)
+	next := 0
+	for q, live := range []int{30, 34} {
+		for k := 0; k < 4; k++ {
+			qs.push(q, task(next))
+			want[q] = append(want[q], task(next))
+			next++
+		}
+		for k := 0; k < 3; k++ {
+			qs.pop(q)
+		}
+		want[q] = want[q][3:]
+		for len(want[q]) < live {
+			qs.push(q, task(next))
+			want[q] = append(want[q], task(next))
+			next++
+		}
+	}
+	for q := range want {
+		for _, w := range want[q] {
+			if got := qs.pop(q); got != w {
+				t.Fatalf("full pool, host %d: pop %+v, want %+v", q, got, w)
+			}
+		}
+	}
+
+	const m, tasks = 5, 200
+	rng := rand.New(rand.NewSource(1))
+	qs = newTaskQueues(m, tasks)
+	for round := 0; round < 20; round++ {
+		qs.clear()
+		model := make([][]queuedTask, m)
+		live := 0
+		for i := 0; i < 3000; i++ {
+			q := rng.Intn(m)
+			if round%2 == 0 && q > 0 && rng.Intn(2) == 0 {
+				q = 0 // skew: host 0 takes half the traffic
+			}
+			if live < tasks && (len(model[q]) == 0 || rng.Intn(5) > 1) {
+				qs.push(q, task(next))
+				model[q] = append(model[q], task(next))
+				live++
+				next++
+				continue
+			}
+			if len(model[q]) == 0 {
+				continue
+			}
+			if got := qs.pop(q); got != model[q][0] {
+				t.Fatalf("round %d op %d host %d: pop %+v, want %+v", round, i, q, got, model[q][0])
+			}
+			model[q] = model[q][1:]
+			live--
+		}
+		for q := range model {
+			if int(qs.hosts[q].n) != len(model[q]) {
+				t.Fatalf("round %d host %d holds %d tasks, model %d", round, q, qs.hosts[q].n, len(model[q]))
+			}
+		}
+	}
+}
+
 // TestShardedMatchesDense extends the oracle seed suite through the
 // streaming validator: on valid protocols and mutants alike, accept/reject
 // and the error text must match the dense engine exactly.

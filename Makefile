@@ -36,8 +36,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark baseline: BENCH_<date>.json maps each benchmark
-# name to its median ns/op, B/op, and allocs/op over $(BENCH_COUNT) runs (see
-# README "Benchmark baselines").
+# name to its median ns/op, B/op, allocs/op and b.ReportMetric columns over
+# $(BENCH_COUNT) runs (see README "Benchmark baselines").
 bench-json:
 	$(GO) test -bench=. -benchmem -count=$(BENCH_COUNT) -run=^$$ ./... | $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d).json
 	@echo "wrote BENCH_$$(date +%Y-%m-%d).json"
@@ -46,7 +46,8 @@ bench-json:
 # and diff against the newest committed BENCH_*.json baseline. Exits non-zero
 # when any shared benchmark's median exceeds the explicit tolerances above
 # (ns/op +$(BENCH_TOL_NS)%, B/op +$(BENCH_TOL_BYTES)%, allocs/op
-# +$(BENCH_TOL_ALLOCS)%). Required in CI.
+# +$(BENCH_TOL_ALLOCS)%), or when a custom metric (slowdown, ratio, k) both
+# files record differs at all. Required in CI.
 bench-compare:
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort | tail -1); \
 	if [ -z "$$base" ]; then echo "no committed BENCH_*.json baseline"; exit 1; fi; \

@@ -6,8 +6,9 @@
 //
 //	BenchmarkE1Suite-8   	      12	  95310417 ns/op	 4240168 B/op	   31456 allocs/op
 //
-// Custom b.ReportMetric columns may sit between ns/op and B/op; they are
-// skipped, and the -benchmem columns are read wherever they appear.
+// Custom b.ReportMetric columns may sit between ns/op and B/op; every column
+// is read by its unit, and each custom one lands in a "metrics" object keyed
+// by unit.
 // Everything else (pass/fail markers, package headers, goos/goarch banners)
 // is ignored. The trailing -N GOMAXPROCS suffix is stripped so baselines
 // compare across machines. A name that repeats (`go test -count=N`) is
@@ -16,7 +17,8 @@
 // by benchmark name:
 //
 //	{
-//	  "BenchmarkE1Suite": {"ns_per_op": 95310417, "bytes_per_op": 4240168, "allocs_per_op": 31456, "iterations": 12}
+//	  "BenchmarkE1Suite": {"ns_per_op": 95310417, "bytes_per_op": 4240168, "allocs_per_op": 31456, "iterations": 12,
+//	    "metrics": {"slowdown": 645}}
 //	}
 //
 // Compare mode checks a new baseline against an old one
@@ -26,8 +28,12 @@
 //
 // prints a per-benchmark delta table and exits non-zero when any shared
 // benchmark regresses beyond the percentage tolerances (-tol-ns, -tol-bytes,
-// -tol-allocs). Benchmarks present in only one file are reported but never
-// count as regressions, so baselines can gain and lose benchmarks freely.
+// -tol-allocs), or when a custom metric both files record for a shared
+// benchmark changes value at all: those columns are the paper's quantities
+// (slowdown, ratio, k), pure functions of fixed seeds, so any drift is a
+// real change rather than noise. Benchmarks or metrics present in only one
+// file are reported but never count as regressions, so baselines can gain
+// and lose them freely.
 package main
 
 import (
@@ -50,6 +56,8 @@ type Measurement struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	Iterations  int64   `json:"iterations"`
+	// Metrics holds the b.ReportMetric columns, unit → value.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // benchLine matches a `testing.B` result row: name, iteration count, then
@@ -93,6 +101,15 @@ func parse(r io.Reader) (map[string]Measurement, error) {
 				meas.BytesPerOp, _ = strconv.ParseInt(val, 10, 64)
 			case "allocs/op":
 				meas.AllocsPerOp, _ = strconv.ParseInt(val, 10, 64)
+			default:
+				v, err := strconv.ParseFloat(val, 64)
+				if err != nil {
+					return nil, fmt.Errorf("bad %s in %q: %w", cols[k+1], sc.Text(), err)
+				}
+				if meas.Metrics == nil {
+					meas.Metrics = make(map[string]float64)
+				}
+				meas.Metrics[cols[k+1]] = v
 			}
 		}
 		if !hasNs {
@@ -105,23 +122,42 @@ func parse(r io.Reader) (map[string]Measurement, error) {
 	}
 	out := make(map[string]Measurement, len(runs))
 	for name, ms := range runs {
-		out[name] = Measurement{
+		meas := Measurement{
 			NsPerOp:     median(ms, func(m Measurement) float64 { return m.NsPerOp }),
 			BytesPerOp:  int64(median(ms, func(m Measurement) float64 { return float64(m.BytesPerOp) })),
 			AllocsPerOp: int64(median(ms, func(m Measurement) float64 { return float64(m.AllocsPerOp) })),
 			Iterations:  int64(median(ms, func(m Measurement) float64 { return float64(m.Iterations) })),
 		}
+		// Each custom metric is the median over the runs that report it.
+		metricRuns := make(map[string][]float64)
+		for _, m := range ms {
+			for unit, v := range m.Metrics {
+				metricRuns[unit] = append(metricRuns[unit], v)
+			}
+		}
+		for unit, vals := range metricRuns {
+			if meas.Metrics == nil {
+				meas.Metrics = make(map[string]float64, len(metricRuns))
+			}
+			meas.Metrics[unit] = medianOf(vals)
+		}
+		out[name] = meas
 	}
 	return out, nil
 }
 
-// median returns the median of field over ms; an even count averages the
-// two middle values.
+// median returns the median of field over ms.
 func median(ms []Measurement, field func(Measurement) float64) float64 {
 	vals := make([]float64, len(ms))
 	for i, m := range ms {
 		vals[i] = field(m)
 	}
+	return medianOf(vals)
+}
+
+// medianOf returns the median of vals, which it sorts in place; an even
+// count averages the two middle values.
+func medianOf(vals []float64) float64 {
 	slices.Sort(vals)
 	mid := len(vals) / 2
 	if len(vals)%2 == 1 {
@@ -176,7 +212,8 @@ type tolerances struct {
 }
 
 // compare renders the delta table of new versus old and returns the number
-// of shared benchmarks regressing beyond tolerance in any metric.
+// of shared benchmarks regressing beyond tolerance in any field, or whose
+// custom metrics recorded on both sides differ at all.
 func compare(oldM, newM map[string]Measurement, tol tolerances, w io.Writer) int {
 	names := make([]string, 0, len(oldM))
 	for name := range oldM {
@@ -186,7 +223,7 @@ func compare(oldM, newM map[string]Measurement, tol tolerances, w io.Writer) int
 	}
 	sort.Strings(names)
 
-	regressed := 0
+	regressed, metrics := 0, 0
 	fmt.Fprintf(w, "%-40s %12s %12s %12s\n", "benchmark", "ns/op Δ", "B/op Δ", "allocs Δ")
 	for _, name := range names {
 		o, n := oldM[name], newM[name]
@@ -194,12 +231,34 @@ func compare(oldM, newM map[string]Measurement, tol tolerances, w io.Writer) int
 		dBytes := deltaPct(float64(o.BytesPerOp), float64(n.BytesPerOp))
 		dAllocs := deltaPct(float64(o.AllocsPerOp), float64(n.AllocsPerOp))
 		bad := dNs > tol.ns || dBytes > tol.bytes || dAllocs > tol.allocs
+		var notes []string
+		for _, unit := range sortedUnits(o.Metrics) {
+			ov := o.Metrics[unit]
+			nv, ok := n.Metrics[unit]
+			switch {
+			case !ok:
+				notes = append(notes, fmt.Sprintf("    %s: only in old baseline", unit))
+			case nv != ov:
+				notes = append(notes, fmt.Sprintf("    %s: %g -> %g  CHANGED", unit, ov, nv))
+				bad = true
+			default:
+				metrics++
+			}
+		}
+		for _, unit := range sortedUnits(n.Metrics) {
+			if _, ok := o.Metrics[unit]; !ok {
+				notes = append(notes, fmt.Sprintf("    %s: only in new baseline", unit))
+			}
+		}
 		mark := ""
 		if bad {
 			mark = "  REGRESSED"
 			regressed++
 		}
 		fmt.Fprintf(w, "%-40s %+11.1f%% %+11.1f%% %+11.1f%%%s\n", name, dNs, dBytes, dAllocs, mark)
+		for _, note := range notes {
+			fmt.Fprintln(w, note)
+		}
 	}
 	for name := range oldM {
 		if _, ok := newM[name]; !ok {
@@ -211,14 +270,24 @@ func compare(oldM, newM map[string]Measurement, tol tolerances, w io.Writer) int
 			fmt.Fprintf(w, "%-40s only in new baseline\n", name)
 		}
 	}
+	limits := fmt.Sprintf("ns>%g%%, bytes>%g%%, allocs>%g%%, any custom-metric change", tol.ns, tol.bytes, tol.allocs)
 	if regressed > 0 {
-		fmt.Fprintf(w, "%d benchmark(s) regressed beyond tolerance (ns>%g%%, bytes>%g%%, allocs>%g%%)\n",
-			regressed, tol.ns, tol.bytes, tol.allocs)
+		fmt.Fprintf(w, "%d benchmark(s) regressed beyond tolerance (%s)\n", regressed, limits)
 	} else {
-		fmt.Fprintf(w, "no regressions beyond tolerance (ns>%g%%, bytes>%g%%, allocs>%g%%) across %d shared benchmark(s)\n",
-			tol.ns, tol.bytes, tol.allocs, len(names))
+		fmt.Fprintf(w, "no regressions beyond tolerance (%s) across %d shared benchmark(s), %d custom metric(s) equal\n",
+			limits, len(names), metrics)
 	}
 	return regressed
+}
+
+// sortedUnits returns the metric units of m in order.
+func sortedUnits(m map[string]float64) []string {
+	units := make([]string, 0, len(m))
+	for unit := range m {
+		units = append(units, unit)
+	}
+	sort.Strings(units)
+	return units
 }
 
 // runCompare loads the two baselines and writes the delta table; the error

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,51 @@ func TestParseReportMetricColumns(t *testing.T) {
 	if sp.NsPerOp != 8592049 || sp.BytesPerOp != 1034943 || sp.AllocsPerOp != 356 || sp.Iterations != 144 {
 		t.Errorf("StreamingPipeline = %+v", sp)
 	}
+	if want := map[string]float64{"peak-chunk-bytes": 131428, "slowdown": 645}; !reflect.DeepEqual(sp.Metrics, want) {
+		t.Errorf("metrics = %v, want %v", sp.Metrics, want)
+	}
+}
+
+// TestParseMetricsTakeMedian: each custom metric is reduced to the median
+// of the runs that report it, by unit, independently of the other columns;
+// a benchmark with no custom columns records no metrics object.
+func TestParseMetricsTakeMedian(t *testing.T) {
+	const runs = `BenchmarkX-2   10   300 ns/op   3.5 s/((n/m)logm)   12 k@log2m=4e6   50 B/op   7 allocs/op
+BenchmarkX-2   12   100 ns/op   3.5 s/((n/m)logm)   10 k@log2m=4e6   40 B/op   5 allocs/op
+BenchmarkX-2   11   200 ns/op   9.0 s/((n/m)logm)   11 k@log2m=4e6   60 B/op   5 allocs/op
+BenchmarkY-2    4    10 ns/op   11 B/op   1 allocs/op
+`
+	got, err := parse(strings.NewReader(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]float64{"s/((n/m)logm)": 3.5, "k@log2m=4e6": 11}; !reflect.DeepEqual(got["BenchmarkX"].Metrics, want) {
+		t.Errorf("X metrics = %v, want %v", got["BenchmarkX"].Metrics, want)
+	}
+	if m := got["BenchmarkY"].Metrics; m != nil {
+		t.Errorf("Y has no custom columns but recorded %v", m)
+	}
+
+	var out bytes.Buffer
+	if err := run(strings.NewReader(runs), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(out.String(), `"metrics"`) != 1 {
+		t.Errorf("want exactly one metrics object (X only):\n%s", out.String())
+	}
+	var back map[string]Measurement
+	if err := json.Unmarshal(out.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, got) {
+		t.Errorf("JSON round trip changed the baseline:\n got %v\nwant %v", back, got)
+	}
+}
+
+func TestParseRejectsBadMetricValue(t *testing.T) {
+	if _, err := parse(strings.NewReader("BenchmarkX-2   10   300 ns/op   NaNish slowdown\n")); err == nil {
+		t.Error("unparseable metric value accepted")
+	}
 }
 
 // TestParseRepeatedNamesTakeMedian: -count=N prints each benchmark N
@@ -78,10 +124,10 @@ BenchmarkY-2    6    30 ns/op   13 B/op   3 allocs/op
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x, want := got["BenchmarkX"], (Measurement{NsPerOp: 250, BytesPerOp: 45, AllocsPerOp: 6, Iterations: 11}); x != want {
+	if x, want := got["BenchmarkX"], (Measurement{NsPerOp: 250, BytesPerOp: 45, AllocsPerOp: 6, Iterations: 11}); !reflect.DeepEqual(x, want) {
 		t.Errorf("odd count: got %+v, want %+v", x, want)
 	}
-	if y, want := got["BenchmarkY"], (Measurement{NsPerOp: 20, BytesPerOp: 12, AllocsPerOp: 2, Iterations: 5}); y != want {
+	if y, want := got["BenchmarkY"], (Measurement{NsPerOp: 20, BytesPerOp: 12, AllocsPerOp: 2, Iterations: 5}); !reflect.DeepEqual(y, want) {
 		t.Errorf("even count: got %+v, want %+v", y, want)
 	}
 }
@@ -172,6 +218,51 @@ func TestCompareWithinToleranceIsClean(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "no regressions beyond tolerance") {
 		t.Errorf("missing clean verdict:\n%s", out.String())
+	}
+}
+
+// TestCompareFailsOnAnyMetricChange: a custom metric recorded on both sides
+// of a shared benchmark must match exactly, however small the drift and
+// whatever the timing tolerances; a metric on one side only is reported
+// and never fails.
+func TestCompareFailsOnAnyMetricChange(t *testing.T) {
+	oldM := map[string]Measurement{
+		"BenchmarkSame":    {NsPerOp: 1000, Metrics: map[string]float64{"slowdown": 645, "k": 3.25}},
+		"BenchmarkDrift":   {NsPerOp: 1000, Metrics: map[string]float64{"slowdown": 645}},
+		"BenchmarkOneSide": {NsPerOp: 1000, Metrics: map[string]float64{"retired": 1}},
+	}
+	newM := map[string]Measurement{
+		"BenchmarkSame":    {NsPerOp: 500, Metrics: map[string]float64{"slowdown": 645, "k": 3.25}},
+		"BenchmarkDrift":   {NsPerOp: 900, Metrics: map[string]float64{"slowdown": 645.0001}},
+		"BenchmarkOneSide": {NsPerOp: 1000, Metrics: map[string]float64{"added": 2}},
+	}
+	var out bytes.Buffer
+	if got := compare(oldM, newM, tolerances{ns: 25, bytes: 10, allocs: 10}, &out); got != 1 {
+		t.Errorf("compare counted %d regressions, want 1 (Drift's slowdown)\n%s", got, out.String())
+	}
+	text := out.String()
+	for _, want := range []string{
+		"slowdown: 645 -> 645.0001  CHANGED",
+		"retired: only in old baseline",
+		"added: only in new baseline",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("table missing %q:\n%s", want, text)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "BenchmarkDrift") != strings.Contains(line, "REGRESSED") {
+			t.Errorf("only BenchmarkDrift should be flagged, got line %q", line)
+		}
+	}
+
+	delete(newM, "BenchmarkDrift")
+	out.Reset()
+	if got := compare(oldM, newM, tolerances{ns: 25, bytes: 10, allocs: 10}, &out); got != 0 {
+		t.Errorf("equal and one-sided metrics flagged: %d\n%s", got, out.String())
+	}
+	if !strings.Contains(out.String(), "2 custom metric(s) equal") {
+		t.Errorf("clean verdict should count the 2 equal metrics:\n%s", out.String())
 	}
 }
 

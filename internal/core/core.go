@@ -115,6 +115,7 @@ func (p Params) Log2Simulable(n, m int, k float64) float64 {
 // Feasible reports whether inefficiency k is consistent with universality:
 // |𝒢(k)| ≥ |𝒰[G₀]| must hold, i.e. Log2Simulable ≥ Log2Guests. If it fails,
 // no k-inefficient simulation can cover all guests — k is impossible.
+// Kept as a Lemma 3.5 / Prop. 3.6 check: TestFeasibleMonotoneInK.
 func (p Params) Feasible(n, m int, k float64) bool {
 	return p.Log2Simulable(n, m, k) >= p.Log2Guests(n)
 }
@@ -184,6 +185,7 @@ func ToyParams() Params {
 // Theorem 3.1 proof: k ≥ (γ/(2r'))·((c−12)/2)·log₂ m, where r' absorbs the
 // (q·k)^n·2^{δn} terms; we report the leading constant with r' = r + small
 // slack, which the numeric solver dominates for concrete sizes.
+// Kept as a Theorem 3.1 closed form: TestClosedFormKTracksSolver.
 func (p Params) ClosedFormK(m int, rPrime float64) float64 {
 	if rPrime <= 0 {
 		rPrime = p.R + p.Delta + math.Log2(p.Q) + 8
@@ -193,6 +195,7 @@ func (p Params) ClosedFormK(m int, rPrime float64) float64 {
 
 // LowerBoundSlowdown converts the inefficiency bound into the slowdown
 // form of the abstract: s ≥ k·n/m, so m·s ≥ n·k = Ω(n·log m).
+// Kept as a Theorem 3.1 closed form: TestLowerBoundSlowdownAtLeastOne.
 func (p Params) LowerBoundSlowdown(n, m int) (float64, error) {
 	k, err := p.MinInefficiency(n, m)
 	if err != nil {

@@ -47,6 +47,7 @@ func Log2MultiplicityExact(dSizes []int, c int) float64 {
 }
 
 // MultiplicityExact is Log2MultiplicityExact with exact big.Int arithmetic.
+// Kept as the exact Lemma 3.3 reference: TestLemma33ExhaustiveMicro.
 func MultiplicityExact(dSizes []int, c int) *big.Int {
 	half := c / 2
 	prod := big.NewInt(1)

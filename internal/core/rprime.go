@@ -20,6 +20,7 @@ func (p Params) RPrime(k float64) (float64, error) {
 // m^{γ·(c−12)/2·n/2} ≤ 2^{r'·n·k}, returning both sides in log₂ per n, so
 // callers can see exactly where the bound bites. Consistent with
 // feasibleNormalized by construction (tested).
+// Kept as a Theorem 3.1 check: TestFinalInequalityMatchesFeasibility.
 func (p Params) FinalInequality(log2m, k float64) (lhs, rhs float64, err error) {
 	rp, err := p.RPrime(k)
 	if err != nil {
@@ -32,6 +33,7 @@ func (p Params) FinalInequality(log2m, k float64) (lhs, rhs float64, err error) 
 
 // KFromClosedForm inverts the final inequality for k:
 // k ≥ γ·(c−12)/(4·r')·log₂ m, iterated twice because r' depends weakly on k.
+// Kept as a Theorem 3.1 check: TestKFromClosedFormTracksSolver.
 func (p Params) KFromClosedForm(log2m float64) float64 {
 	k := 1.0
 	for i := 0; i < 4; i++ {

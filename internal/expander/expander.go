@@ -37,6 +37,7 @@ func IsExpanderForSet(g *graph.Graph, a []int, beta float64) bool {
 // β*(α) = min over non-empty A with |A| ≤ α·n of |Γ(A)|/|A|
 // by enumerating every subset. Exponential: n must be ≤ 24.
 // It returns the minimizing ratio and one witness set.
+// Kept as the exact oracle: TestSampleExpansionUpperBoundsExact.
 func ExactExpansion(g *graph.Graph, alpha float64) (beta float64, witness []int, err error) {
 	n := g.N()
 	if n > 24 {

@@ -300,15 +300,26 @@ func TestGeomMean(t *testing.T) {
 	}
 }
 
+// suiteText runs the whole registry on one fail-fast worker and joins the
+// rendered tables in registry order.
+func suiteText(t *testing.T, seed int64) string {
+	t.Helper()
+	results, err := (&Runner{Workers: 1, FailFast: true}).Run(context.Background(), Registry(), Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, res := range results {
+		b.WriteString(res.Text + "\n")
+	}
+	return b.String()
+}
+
 func TestRunAllSucceeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
-	var buf strings.Builder
-	if err := RunAll(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := suiteText(t, 1)
 	for _, marker := range []string{"E1 ", "E2 ", "E3 ", "E6 ", "E10", "E17", "E19"} {
 		if !strings.Contains(out, marker) {
 			t.Errorf("report missing %s section", marker)
@@ -385,15 +396,8 @@ func TestRunAllDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite twice")
 	}
-	var a, b strings.Builder
-	if err := RunAll(&a, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunAll(&b, 5); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("RunAll output not deterministic for a fixed seed")
+	if suiteText(t, 5) != suiteText(t, 5) {
+		t.Error("report output not deterministic for a fixed seed")
 	}
 }
 

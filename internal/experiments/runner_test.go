@@ -124,8 +124,8 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 			t.Errorf("%s: table text differs between workers=1 and workers=8", seqRes[i].ID)
 		}
 		if !seqRes[i].Metrics.Equal(parRes[i].Metrics) {
-			t.Errorf("%s: metrics snapshot differs between workers=1 and workers=8: %s",
-				seqRes[i].ID, seqRes[i].Metrics.Diff(parRes[i].Metrics))
+			t.Errorf("%s: metrics snapshot differs between workers=1 and workers=8:\n%+v\n%+v",
+				seqRes[i].ID, seqRes[i].Metrics, parRes[i].Metrics)
 		}
 	}
 }

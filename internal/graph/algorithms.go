@@ -237,6 +237,7 @@ func Union(g, h *Graph) *Graph {
 
 // Residual returns g with all edges of h removed (vertex set unchanged):
 // the graph G' = G \ G₀ from the proof of Proposition 3.6(b).
+// Kept for Prop. 3.6(b): TestUnionAndResidual, TestG0SampleGuest.
 func Residual(g, h *Graph) *Graph {
 	b := NewBuilder(g.N())
 	for _, e := range g.Edges() {

@@ -22,7 +22,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -482,33 +481,6 @@ func (s *Snapshot) Equal(o *Snapshot) bool {
 		}
 	}
 	return true
-}
-
-// Diff returns a short human-readable description of the first difference
-// between two snapshots, or "" when equal. For test failure messages.
-func (s *Snapshot) Diff(o *Snapshot) string {
-	if s.Equal(o) {
-		return ""
-	}
-	if s.Empty() != o.Empty() {
-		return fmt.Sprintf("one snapshot empty (a=%v b=%v)", s.Empty(), o.Empty())
-	}
-	for k, v := range s.Counters {
-		if ov := o.Counters[k]; ov != v {
-			return fmt.Sprintf("counter %s: %d vs %d", k, v, ov)
-		}
-	}
-	for k, v := range s.Gauges {
-		if ov := o.Gauges[k]; ov != v {
-			return fmt.Sprintf("gauge %s: %d vs %d", k, v, ov)
-		}
-	}
-	for k, v := range s.Histograms {
-		if ov, ok := o.Histograms[k]; !ok || v.Count != ov.Count || v.Sum != ov.Sum {
-			return fmt.Sprintf("histogram %s: count/sum %d/%d vs %d/%d", k, v.Count, v.Sum, ov.Count, ov.Sum)
-		}
-	}
-	return "snapshots differ (instrument sets)"
 }
 
 // Merge folds a snapshot into the registry: counters add, gauges take the

@@ -127,7 +127,7 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 	}
 }
 
-func TestSnapshotEqualAndDiff(t *testing.T) {
+func TestSnapshotEqual(t *testing.T) {
 	a, b := New(), New()
 	a.Counter("x").Add(1)
 	b.Counter("x").Add(1)
@@ -135,12 +135,8 @@ func TestSnapshotEqualAndDiff(t *testing.T) {
 		t.Fatal("equal registries compare unequal")
 	}
 	b.Counter("x").Inc()
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if sa.Equal(sb) {
+	if a.Snapshot().Equal(b.Snapshot()) {
 		t.Fatal("unequal registries compare equal")
-	}
-	if d := sa.Diff(sb); !strings.Contains(d, "counter x") {
-		t.Fatalf("Diff = %q, want it to name counter x", d)
 	}
 	var empty *Snapshot
 	if !empty.Equal(&Snapshot{}) {

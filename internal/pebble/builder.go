@@ -2,7 +2,6 @@ package pebble
 
 import (
 	"fmt"
-	"sort"
 
 	"universalnet/internal/graph"
 )
@@ -20,14 +19,6 @@ import (
 // k of the run.
 func BuildEmbeddingProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
 	return materializePlan(guest, host, f, T, phasedRule)
-}
-
-// StreamEmbeddingProtocol is the streaming core of BuildEmbeddingProtocol:
-// identical schedule, but each host step is emitted through sink as soon as
-// it is assembled, so the protocol never has to exist as a whole. The ops
-// slice passed to the sink is reused across steps.
-func StreamEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	return streamPlan(guest, host, f, T, phasedRule, sink)
 }
 
 // phasedRule schedules each distribution phase by rescanning the relation
@@ -143,9 +134,6 @@ func RandomizedAssignment(n, m int, seed int64) []int {
 
 // FragmentPickers: strategies for choosing b_i among the generators.
 
-// PickFirst chooses the smallest-index generator.
-func PickFirst(_ int, _ []int) int { return 0 }
-
 // PickLightest returns a picker that chooses the generator holding the
 // fewest time-t₀ pebbles — the choice that makes |D_i| small, mirroring the
 // Main Lemma's part (3).
@@ -160,12 +148,4 @@ func (st *State) PickLightest(t0 int) func(i int, gens []int) int {
 		}
 		return best
 	}
-}
-
-// SortedCopy returns a sorted copy of xs (test helper shared by fragment
-// assertions).
-func SortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
 }

@@ -125,7 +125,7 @@ func TestBuildersRejectBadArguments(t *testing.T) {
 	}{
 		{"phased", BuildEmbeddingProtocol},
 		{"pipelined", BuildPipelinedProtocol},
-		{"queued", BuildQueuedEmbeddingProtocol},
+		{"queued", buildQueued},
 		{"multicast", BuildMulticastProtocol},
 	}
 	cases := []struct {

@@ -47,7 +47,7 @@ func TestLemma33ExhaustiveMicro(t *testing.T) {
 		if err != nil {
 			t.Fatalf("guest %d: %v", gi, err)
 		}
-		frag, err := st.ExtractFragment(t0, PickFirst)
+		frag, err := st.ExtractFragment(t0, pickFirst)
 		if err != nil {
 			t.Fatalf("guest %d: %v", gi, err)
 		}

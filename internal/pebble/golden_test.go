@@ -42,7 +42,7 @@ func TestBuilderGoldenFingerprints(t *testing.T) {
 	}{
 		{"phased", BuildEmbeddingProtocol, "5ed992870e5572b3"},
 		{"pipelined", BuildPipelinedProtocol, "7fb688d2107e7b93"},
-		{"queued", BuildQueuedEmbeddingProtocol, "629a8e5f05abdd77"},
+		{"queued", buildQueued, "629a8e5f05abdd77"},
 		{"multicast", BuildMulticastProtocol, "722e0d8ab38df027"},
 	}
 	for _, b := range builders {

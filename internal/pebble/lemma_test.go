@@ -2,6 +2,7 @@ package pebble
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"universalnet/internal/depgraph"
@@ -11,6 +12,17 @@ import (
 // Direct unit tests of the Lemma 3.12 machinery (ComputeLemmaWeights,
 // CriticalTimes, ChooseRoots) on a small 𝒰[G₀] instance — the experiments
 // package exercises them end to end; here we pin the local invariants.
+
+// pickFirst is the fragment picker that chooses the smallest-index
+// generator.
+func pickFirst(_ int, _ []int) int { return 0 }
+
+// sortedCopy returns a sorted copy of xs.
+func sortedCopy(xs []int) []int {
+	out := append([]int(nil), xs...)
+	sort.Ints(out)
+	return out
+}
 
 func lemmaFixture(t *testing.T) (*topology.G0, *State, *Protocol) {
 	t.Helper()
@@ -164,12 +176,12 @@ func TestTreeWeightMatchesManualSum(t *testing.T) {
 }
 
 func TestPickersAndHelpers(t *testing.T) {
-	if PickFirst(3, []int{7, 8, 9}) != 0 {
-		t.Error("PickFirst not 0")
+	if pickFirst(3, []int{7, 8, 9}) != 0 {
+		t.Error("pickFirst not 0")
 	}
-	s := SortedCopy([]int{3, 1, 2})
+	s := sortedCopy([]int{3, 1, 2})
 	if s[0] != 1 || s[1] != 2 || s[2] != 3 {
-		t.Errorf("SortedCopy = %v", s)
+		t.Errorf("sortedCopy = %v", s)
 	}
 	if topQuarterSet([]vertexWeight{{v: 1, weight: 5}, {v: 2, weight: 9}, {v: 3, weight: 1}, {v: 4, weight: 7}}, 1)[2] != true {
 		t.Error("topQuarterSet missed the heaviest vertex")

@@ -22,13 +22,6 @@ func BuildPipelinedProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol
 	return materializePlan(guest, host, f, T, pipelinedRule)
 }
 
-// StreamPipelinedProtocol emits the pipelined greedy schedule through sink,
-// one host step at a time. The ops slice passed to the sink is reused
-// across steps.
-func StreamPipelinedProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	return streamPlan(guest, host, f, T, pipelinedRule, sink)
-}
-
 // pipelinedRule runs the whole schedule as one greedy: each host step,
 // pending transfers move farthest-first, then every processor left idle
 // generates the next pebble of its first ready guest. A transfer task

@@ -24,7 +24,7 @@ import (
 //
 // The ops slice handed to sink is reused across steps. The resulting
 // protocol validates (the tests replay it through both engines); its exact
-// step sequence differs from StreamEmbeddingProtocol's, so it is a distinct
+// step sequence differs from BuildEmbeddingProtocol's, so it is a distinct
 // builder, not a drop-in replacement where byte-identical output matters.
 func StreamQueuedEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
 	return streamPlan(guest, host, f, T, queuedRule, sink)
@@ -206,10 +206,4 @@ func queuedRule(p *embedPlan, sink StepSink) error {
 		}
 	}
 	return nil
-}
-
-// BuildQueuedEmbeddingProtocol materializes the queued builder's schedule —
-// the small-n form used by the equivalence tests; big runs stream instead.
-func BuildQueuedEmbeddingProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
-	return materializePlan(guest, host, f, T, queuedRule)
 }

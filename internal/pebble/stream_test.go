@@ -8,8 +8,15 @@ import (
 	"reflect"
 	"testing"
 
+	"universalnet/internal/graph"
 	"universalnet/internal/topology"
 )
+
+// buildQueued materializes the queued builder's schedule, the small-n form
+// the equivalence tests compare; big runs stream it instead.
+func buildQueued(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
+	return materializePlan(guest, host, f, T, queuedRule)
+}
 
 // streamFixture builds a small valid protocol shared by the stream tests.
 func streamFixture(t testing.TB) *Protocol {
@@ -176,31 +183,37 @@ func TestStreamingBuildersMatchMaterialized(t *testing.T) {
 	f := RandomizedAssignment(9, 9, 42)
 	T := 3
 
-	legacy, err := BuildEmbeddingProtocol(guest, host, f, T)
-	if err != nil {
-		t.Fatal(err)
+	// Each rule hands its sink a reused ops slice; a ChunkedLog encodes it
+	// at once, as the streaming pipeline does, and must decode to the
+	// builder's materialized steps.
+	builders := []struct {
+		name  string
+		rule  scheduleRule
+		build func(guest, host *graph.Graph, f []int, T int) (*Protocol, error)
+	}{
+		{"phased", phasedRule, BuildEmbeddingProtocol},
+		{"pipelined", pipelinedRule, BuildPipelinedProtocol},
+		{"multicast", multicastRule, BuildMulticastProtocol},
 	}
-	streamed := &Protocol{Guest: guest, Host: host, T: T}
-	if err := StreamEmbeddingProtocol(guest, host, f, T, &ProtocolSink{Proto: streamed}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Steps, streamed.Steps) {
-		t.Fatal("StreamEmbeddingProtocol diverged from BuildEmbeddingProtocol")
+	for _, b := range builders {
+		legacy, err := b.build(guest, host, f, T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := NewChunkedLog(ChunkedLogOptions{})
+		if err := streamPlan(guest, host, f, T, b.rule, log); err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := Materialize(legacy.Spec(), log.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(legacy.Steps, streamed.Steps) {
+			t.Fatalf("%s: streamed schedule diverged from the materialized builder", b.name)
+		}
 	}
 
-	legacyP, err := BuildPipelinedProtocol(guest, host, f, T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamedP := &Protocol{Guest: guest, Host: host, T: T}
-	if err := StreamPipelinedProtocol(guest, host, f, T, &ProtocolSink{Proto: streamedP}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyP.Steps, streamedP.Steps) {
-		t.Fatal("StreamPipelinedProtocol diverged from BuildPipelinedProtocol")
-	}
-
-	queued, err := BuildQueuedEmbeddingProtocol(guest, host, f, T)
+	queued, err := buildQueued(guest, host, f, T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +246,7 @@ func TestQueuedBuilderValidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := RandomizedAssignment(n, h.N(), seed)
-		pr, err := BuildQueuedEmbeddingProtocol(guest, h, f, T)
+		pr, err := buildQueued(guest, h, f, T)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -387,7 +400,7 @@ func TestShardedMatchesDense(t *testing.T) {
 			case 3:
 				pr, err = BuildMulticastProtocol(guest, h, f, T)
 			default:
-				pr, err = BuildQueuedEmbeddingProtocol(guest, h, f, T)
+				pr, err = buildQueued(guest, h, f, T)
 			}
 			if err != nil {
 				t.Fatalf("building protocol: %v", err)

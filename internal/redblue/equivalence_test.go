@@ -89,7 +89,8 @@ func TestCostedReplayVerdictEquivalence(t *testing.T) {
 			case 2:
 				pr, err = pebble.BuildMulticastProtocol(guest, host, f, T)
 			default:
-				pr, err = pebble.BuildQueuedEmbeddingProtocol(guest, host, f, T)
+				pr = &pebble.Protocol{Guest: guest, Host: host, T: T}
+				err = pebble.StreamQueuedEmbeddingProtocol(guest, host, f, T, &pebble.ProtocolSink{Proto: pr})
 			}
 			if err != nil {
 				t.Fatalf("building protocol: %v", err)

@@ -30,6 +30,7 @@ type refGroup struct {
 // processor (r = 0 means unbounded: only compulsory loads remain). It
 // errors when a processor references more than 64 distinct pebbles (the
 // mask width) or an op needs more than r simultaneous residents.
+// Kept as the reference oracle of TestOracleMatchesBeladyReplay.
 func OracleMinLoads(sp pebble.Spec, steps [][]pebble.Op, r int) (int64, error) {
 	m := sp.Host.N()
 	// Per-processor local id spaces and group sequences.

@@ -156,6 +156,7 @@ func isMatchedSrc(edges []relEdge, matchDst []int, s int) bool {
 
 // VerifyRounds checks that the rounds cover exactly the multiset of real
 // pairs and that each round is a partial permutation.
+// Kept as an oracle: TestPropertyDecomposeAlwaysPermutationRounds.
 func VerifyRounds(pairs []Pair, rounds [][]Pair) error {
 	count := make(map[Pair]int)
 	for _, p := range pairs {

@@ -33,7 +33,7 @@ func TestDeflectionRouterRejectsOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three packets at node 0 on a degree-2 ring violate the invariant.
-	p, _ := NewProblem(8, []Pair{{0, 1}, {0, 2}, {0, 3}})
+	p := &Problem{N: 8, Pairs: []Pair{{0, 1}, {0, 2}, {0, 3}}}
 	if _, err := (&DeflectionRouter{Seed: 1}).Route(g, p); err == nil {
 		t.Error("overloaded start accepted")
 	}
@@ -44,7 +44,7 @@ func TestDeflectionRouterSelfAndUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewProblem(8, []Pair{{2, 2}})
+	p := &Problem{N: 8, Pairs: []Pair{{2, 2}}}
 	res, err := (&DeflectionRouter{Seed: 1}).Route(g, p)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestLowerBoundSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Single packet at distance 8.
-	p, _ := NewProblem(16, []Pair{{0, 8}})
+	p := &Problem{N: 16, Pairs: []Pair{{0, 8}}}
 	lb, err := LowerBoundSteps(g, p)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestLowerBoundSteps(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = Pair{Src: i, Dst: (i + 8) % 16}
 	}
-	p2, _ := NewProblem(16, pairs)
+	p2 := &Problem{N: 16, Pairs: pairs}
 	lb2, err := LowerBoundSteps(g, p2)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestLowerBoundSteps(t *testing.T) {
 			heavy = append(heavy, Pair{Src: i, Dst: (i + 8) % 16})
 		}
 	}
-	p3, _ := NewProblem(16, heavy)
+	p3 := &Problem{N: 16, Pairs: heavy}
 	lb3, err := LowerBoundSteps(g, p3)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestLowerBoundStepsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewProblem(4, nil)
+	p := &Problem{N: 4}
 	if _, err := LowerBoundSteps(g, p); err == nil {
 		t.Error("size mismatch accepted")
 	}

@@ -79,6 +79,7 @@ func (s *Schedule) Apply(keys []int) error {
 // Sorts reports whether the schedule sorts every 0/1 input (the 0-1
 // principle: a comparator network sorts all inputs iff it sorts all 2^n
 // 0/1 vectors). Exponential; for n ≤ 20.
+// Kept for the 0-1 principle checks: TestBitonicSorts and others.
 func (s *Schedule) Sorts() (bool, error) {
 	if s.N > 20 {
 		return false, fmt.Errorf("routing: 0-1 check infeasible for n=%d", s.N)
@@ -134,29 +135,6 @@ func Bitonic(n int) (*Schedule, error) {
 						round = append(round, CompareExchange{I: i, J: l})
 					} else {
 						round = append(round, CompareExchange{I: l, J: i})
-					}
-				}
-			}
-			s.Rounds = append(s.Rounds, round)
-		}
-	}
-	return s, nil
-}
-
-// OddEvenMerge returns Batcher's odd-even merge sorting network for n = 2^k
-// inputs; slightly smaller than bitonic at the same depth order.
-func OddEvenMerge(n int) (*Schedule, error) {
-	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("routing: odd-even merge needs a power of two, got %d", n)
-	}
-	s := &Schedule{N: n}
-	for p := 1; p < n; p <<= 1 {
-		for k := p; k > 0; k >>= 1 {
-			var round []CompareExchange
-			for j := k % p; j+k < n; j += 2 * k {
-				for i := 0; i < k && i+j+k < n; i++ {
-					if (i+j)/(2*p) == (i+j+k)/(2*p) {
-						round = append(round, CompareExchange{I: i + j, J: i + j + k})
 					}
 				}
 			}

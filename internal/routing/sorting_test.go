@@ -55,36 +55,6 @@ func TestBitonicSorts(t *testing.T) {
 	}
 }
 
-func TestOddEvenMergeSorts(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16} {
-		s, err := OddEvenMerge(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		ok, err := s.Sorts()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Errorf("odd-even merge fails for n=%d", n)
-		}
-	}
-	if _, err := OddEvenMerge(12); err == nil {
-		t.Error("non-power-of-two accepted")
-	}
-}
-
-func TestOddEvenMergeSmallerThanBitonic(t *testing.T) {
-	b, _ := Bitonic(16)
-	m, _ := OddEvenMerge(16)
-	if m.Size() >= b.Size() {
-		t.Errorf("odd-even merge size %d not below bitonic %d", m.Size(), b.Size())
-	}
-}
-
 func TestScheduleApplyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
@@ -187,17 +157,17 @@ func TestSortingRouterRejectsNonPermutation(t *testing.T) {
 	}
 	r := &SortingRouter{Schedule: OddEvenTransposition(n)}
 	// Two packets from the same node.
-	p, _ := NewProblem(n, []Pair{{0, 1}, {0, 2}, {1, 0}, {2, 3}})
+	p := &Problem{N: n, Pairs: []Pair{{0, 1}, {0, 2}, {1, 0}, {2, 3}}}
 	if _, err := r.Route(g, p); err == nil {
 		t.Error("h>1 problem accepted")
 	}
 	// Missing source.
-	p2, _ := NewProblem(n, []Pair{{0, 1}, {1, 0}, {2, 3}})
+	p2 := &Problem{N: n, Pairs: []Pair{{0, 1}, {1, 0}, {2, 3}}}
 	if _, err := r.Route(g, p2); err == nil {
 		t.Error("partial permutation accepted")
 	}
 	// Duplicate destination.
-	p3, _ := NewProblem(n, []Pair{{0, 1}, {1, 1}, {2, 3}, {3, 0}})
+	p3 := &Problem{N: n, Pairs: []Pair{{0, 1}, {1, 1}, {2, 3}, {3, 0}}}
 	if _, err := r.Route(g, p3); err == nil {
 		t.Error("non-injective destination accepted")
 	}

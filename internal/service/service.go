@@ -178,8 +178,9 @@ func (s *Service) submit(job func()) error {
 
 // do is the request spine shared by Embed/Route/Simulate: fast-path cache
 // hit, admission, singleflight-coalesced compute on a worker, deadline
-// enforcement, and latency/outcome accounting. Returns the result and
-// whether it came from cache without computing.
+// enforcement (a job expired in the queue is dropped at pickup), and
+// latency/outcome accounting. Returns the result and whether it came from
+// cache without computing.
 func (s *Service) do(ctx context.Context, kind, key string, deadlineMS int, compute func() (any, error)) (any, bool, error) {
 	s.obs.Counter("service." + kind + ".requests").Inc()
 	start := s.obs.Now()
@@ -204,6 +205,13 @@ func (s *Service) do(ctx context.Context, kind, key string, deadlineMS int, comp
 	done := make(chan outcome, 1) // buffered: the worker never blocks on an abandoned request
 	queueStart := time.Now()
 	if err := s.submit(func() {
+		if ctx.Err() != nil {
+			// The deadline passed (or the caller left) while the job was
+			// queued: the caller returns its error without this result,
+			// so free the worker at once.
+			s.obs.Counter("service.expired_at_pickup").Inc()
+			return
+		}
 		// Queue wait is submit → worker pickup; the cache stage is the
 		// GetOrCompute envelope (lookup + singleflight coalescing) minus the
 		// compute body itself, so cache+compute sum to the worker's time.
@@ -233,8 +241,8 @@ func (s *Service) do(ctx context.Context, kind, key string, deadlineMS int, comp
 		s.obs.Counter("service.completed").Inc()
 		return out.v, false, nil
 	case <-ctx.Done():
-		// The job may still run and populate the cache; this caller just
-		// stops waiting.
+		// A job still queued is dropped at pickup; one already running
+		// finishes and populates the cache. This caller stops waiting.
 		s.obs.Counter("service.deadline_exceeded").Inc()
 		return nil, false, fmt.Errorf("service: request deadline: %w", ctx.Err())
 	}

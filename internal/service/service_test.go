@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,6 +217,57 @@ func TestDeadline(t *testing.T) {
 	if got := s.Status().DeadlineExceeded; got != 1 {
 		t.Errorf("deadline_exceeded = %d, want 1", got)
 	}
+}
+
+// TestExpiredJobDroppedAtPickup: a request whose deadline passes while it
+// waits behind a busy worker is dropped when the worker picks it up. Its
+// compute never runs, it is counted as service.expired_at_pickup, and no
+// goroutine outlives the service.
+func TestExpiredJobDroppedAtPickup(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	reg := obs.New()
+	s := New(Config{Workers: 1, QueueDepth: 4, Obs: reg})
+	ctx := context.Background()
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	holdErr := make(chan error, 1)
+	go func() {
+		_, _, err := s.do(ctx, "test", "hold", 10_000, func() (any, error) {
+			close(started)
+			<-release
+			return 1, nil
+		})
+		holdErr <- err
+	}()
+	<-started
+
+	var ran atomic.Bool
+	_, _, err := s.do(ctx, "test", "expired", 20, func() (any, error) {
+		ran.Store(true)
+		return 2, nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued request: err = %v, want DeadlineExceeded", err)
+	}
+	close(release)
+	if err := <-holdErr; err != nil {
+		t.Fatalf("holding request: %v", err)
+	}
+	// Close drains the queue, so the expired job has been picked up.
+	closeCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := s.Close(closeCtx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if ran.Load() {
+		t.Error("the expired request's compute ran after its caller had returned")
+	}
+	if got := reg.Counter("service.expired_at_pickup").Value(); got != 1 {
+		t.Errorf("service.expired_at_pickup = %d, want 1", got)
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline },
+		"goroutines outlived the service")
 }
 
 // TestGracefulDrain: Close rejects new work with ErrClosed, but queued work

@@ -120,6 +120,7 @@ func (c *Computation) Run(T int) (*Trace, error) {
 // correct dimensions, matching initial state, and every step consistent with
 // the transition function. Used to validate traces reconstructed from
 // universal-simulation runs.
+// Kept as a trace oracle: TestVerifyTraceAcceptsRun, universal tests.
 func (c *Computation) VerifyTrace(tr *Trace) error {
 	n := c.G.N()
 	if tr.N() != n {

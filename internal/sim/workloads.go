@@ -35,21 +35,6 @@ func Broadcast(g *graph.Graph, source int) *Computation {
 	return c
 }
 
-// MaxConsensus lets every processor adopt the maximum state it has seen;
-// after diameter steps all states equal the global maximum.
-func MaxConsensus(g *graph.Graph, init []State) (*Computation, error) {
-	step := func(_ int, self State, neighbors []State) State {
-		m := self
-		for _, s := range neighbors {
-			if s > m {
-				m = s
-			}
-		}
-		return m
-	}
-	return NewComputation(g, init, step, "max-consensus")
-}
-
 // MixMod is a chaotic mixing computation: next = a·self + Σ neighbors + i
 // (mod 2^64, via natural wraparound), seeded with random initial states.
 // Every output bit depends on the full t-neighborhood, making it the
@@ -72,44 +57,6 @@ func MixMod(g *graph.Graph, rng *rand.Rand) *Computation {
 		panic(err)
 	}
 	return c
-}
-
-// TokenRing passes a single token around a ring guest: processor i holds
-// the token at time t iff i ≡ t (mod n). The transition consults the
-// predecessor's state, exercising directional neighbor dependence.
-func TokenRing(g *graph.Graph) *Computation {
-	n := g.N()
-	init := make([]State, n)
-	init[0] = 1
-	step := func(i int, _ State, neighbors []State) State {
-		// The ring's adjacency of i is sorted; the predecessor is (i−1) mod n.
-		pred := (i - 1 + n) % n
-		for k, w := range g.Neighbors(i) {
-			if w == pred {
-				return neighbors[k]
-			}
-		}
-		return 0
-	}
-	c, err := NewComputation(g, init, step, "token-ring")
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// JacobiSum iterates next = self + Σ neighbors (wraparound arithmetic), the
-// integer analogue of Jacobi relaxation; states grow like the number of
-// walks, so mismatches amplify.
-func JacobiSum(g *graph.Graph, init []State) (*Computation, error) {
-	step := func(_ int, self State, neighbors []State) State {
-		x := uint64(self)
-		for _, s := range neighbors {
-			x += uint64(s)
-		}
-		return State(x)
-	}
-	return NewComputation(g, init, step, "jacobi-sum")
 }
 
 // RandomInit returns n random states from rng.

@@ -55,18 +55,6 @@ func Complete(n int) (*graph.Graph, error) {
 	return b.Build(), nil
 }
 
-// Star returns the star K_{1,n-1} with center 0.
-func Star(n int) (*graph.Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("topology: star needs n ≥ 2, got %d", n)
-	}
-	b := graph.NewBuilder(n)
-	for v := 1; v < n; v++ {
-		b.MustAddEdge(0, v)
-	}
-	return b.Build(), nil
-}
-
 // CompleteBinaryTree returns the complete binary tree with n = 2^{d+1}-1
 // vertices in heap order (children of i are 2i+1, 2i+2).
 func CompleteBinaryTree(depth int) (*graph.Graph, error) {
@@ -214,15 +202,6 @@ func Log2(x int) int {
 	l := 0
 	for x > 1 {
 		x >>= 1
-		l++
-	}
-	return l
-}
-
-// Log2Ceil returns ceil(log2 x) for x ≥ 1.
-func Log2Ceil(x int) int {
-	l := Log2(x)
-	if 1<<l < x {
 		l++
 	}
 	return l

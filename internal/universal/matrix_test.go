@@ -10,9 +10,9 @@ import (
 	"universalnet/internal/topology"
 )
 
-// The integration matrix: every workload on its natural guest, simulated on
-// every host kind, trace-verified — the universality property exercised
-// across the full workload × host grid.
+// The integration matrix: the MixMod workload on five guest families,
+// simulated on every host kind, trace-verified — the universality property
+// exercised across the full guest × host grid.
 func TestWorkloadHostMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 
@@ -31,59 +31,25 @@ func TestWorkloadHostMatrix(t *testing.T) {
 	}
 	workloads = append(workloads, workload{"mixmod/random4", rg, sim.MixMod(rg, rng), 4})
 
-	// Majority CA on a torus guest.
-	tg, err := topology.Torus(64)
-	if err != nil {
-		t.Fatal(err)
+	// MixMod on structured guests: a torus, a CCC, a ring and a
+	// shuffle-exchange graph.
+	guests := []struct {
+		name  string
+		build func() (*graph.Graph, error)
+		steps int
+	}{
+		{"torus", func() (*graph.Graph, error) { return topology.Torus(64) }, 5},
+		{"ccc", func() (*graph.Graph, error) { return topology.CubeConnectedCycles(3) }, 6},
+		{"ring", func() (*graph.Graph, error) { return topology.Ring(64) }, 5},
+		{"shuffle-exchange", func() (*graph.Graph, error) { return topology.ShuffleExchange(6) }, 4},
 	}
-	init := make([]sim.State, 64)
-	for i := range init {
-		if rng.Float64() < 0.5 {
-			init[i] = 1
+	for _, gs := range guests {
+		g, err := gs.build()
+		if err != nil {
+			t.Fatal(err)
 		}
+		workloads = append(workloads, workload{"mixmod/" + gs.name, g, sim.MixMod(g, rng), gs.steps})
 	}
-	ca, err := sim.CellularAutomaton(tg, init, []sim.State{0, 0, 1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	workloads = append(workloads, workload{"majority-ca/torus", tg, ca, 5})
-
-	// BFS distances on a CCC guest.
-	cg, err := topology.CubeConnectedCycles(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfs, err := sim.BFSDistance(cg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workloads = append(workloads, workload{"bfs/ccc", cg, bfs, 6})
-
-	// Prefix sums on a ring guest.
-	ring, err := topology.Ring(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]sim.State, 64)
-	for i := range vals {
-		vals[i] = sim.State(rng.Intn(1000))
-	}
-	ps, err := sim.PrefixSumRing(ring, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workloads = append(workloads, workload{"prefix/ring", ring, ps, 5})
-
-	// Max consensus on a shuffle-exchange guest.
-	se, err := topology.ShuffleExchange(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := sim.MaxConsensus(se, sim.RandomInit(64, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	workloads = append(workloads, workload{"maxcons/shuffle-exchange", se, mc, 4})
 
 	hosts := map[string]func() (*Host, error){
 		"butterfly": func() (*Host, error) { return ButterflyHost(3) },

@@ -135,10 +135,10 @@ func parse(r io.Reader) (map[string]Measurement, error) {
 				metricRuns[unit] = append(metricRuns[unit], v)
 			}
 		}
+		if len(metricRuns) > 0 {
+			meas.Metrics = make(map[string]float64, len(metricRuns))
+		}
 		for unit, vals := range metricRuns {
-			if meas.Metrics == nil {
-				meas.Metrics = make(map[string]float64, len(metricRuns))
-			}
 			meas.Metrics[unit] = medianOf(vals)
 		}
 		out[name] = meas

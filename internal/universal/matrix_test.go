@@ -16,39 +16,18 @@ import (
 func TestWorkloadHostMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 
-	type workload struct {
-		name  string
-		guest *graph.Graph
-		comp  *sim.Computation
-		steps int
-	}
-	var workloads []workload
-
-	// MixMod on a random 4-regular guest.
-	rg, err := topology.RandomGuest(rng, 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workloads = append(workloads, workload{"mixmod/random4", rg, sim.MixMod(rg, rng), 4})
-
-	// MixMod on structured guests: a torus, a CCC, a ring and a
-	// shuffle-exchange graph.
+	// MixMod on a random 4-regular guest and on structured guests: a
+	// torus, a CCC, a ring and a shuffle-exchange graph.
 	guests := []struct {
 		name  string
 		build func() (*graph.Graph, error)
 		steps int
 	}{
+		{"random4", func() (*graph.Graph, error) { return topology.RandomGuest(rng, 64, 4) }, 4},
 		{"torus", func() (*graph.Graph, error) { return topology.Torus(64) }, 5},
 		{"ccc", func() (*graph.Graph, error) { return topology.CubeConnectedCycles(3) }, 6},
 		{"ring", func() (*graph.Graph, error) { return topology.Ring(64) }, 5},
 		{"shuffle-exchange", func() (*graph.Graph, error) { return topology.ShuffleExchange(6) }, 4},
-	}
-	for _, gs := range guests {
-		g, err := gs.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		workloads = append(workloads, workload{"mixmod/" + gs.name, g, sim.MixMod(g, rng), gs.steps})
 	}
 
 	hosts := map[string]func() (*Host, error){
@@ -58,18 +37,23 @@ func TestWorkloadHostMatrix(t *testing.T) {
 		"ring":      func() (*Host, error) { return RingHost(16) },
 		"ccc":       func() (*Host, error) { return CCCHost(3) },
 	}
-	for _, wl := range workloads {
-		direct, err := wl.comp.Run(wl.steps)
+	for _, gs := range guests {
+		g, err := gs.build()
 		if err != nil {
-			t.Fatalf("%s direct: %v", wl.name, err)
+			t.Fatal(err)
+		}
+		comp := sim.MixMod(g, rng)
+		direct, err := comp.Run(gs.steps)
+		if err != nil {
+			t.Fatalf("%s direct: %v", gs.name, err)
 		}
 		for hname, build := range hosts {
-			t.Run(fmt.Sprintf("%s_on_%s", wl.name, hname), func(t *testing.T) {
+			t.Run(fmt.Sprintf("mixmod/%s_on_%s", gs.name, hname), func(t *testing.T) {
 				host, err := build()
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := (&EmbeddingSimulator{Host: host}).Run(wl.comp, wl.steps)
+				rep, err := (&EmbeddingSimulator{Host: host}).Run(comp, gs.steps)
 				if err != nil {
 					t.Fatal(err)
 				}

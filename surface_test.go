@@ -53,8 +53,8 @@ var surfaceAllowlist = map[string]string{
 // is API that only tests reach: delete it with its tests, or allowlist it.
 func TestExportedSurfaceHasCallers(t *testing.T) {
 	fset := token.NewFileSet()
-	uses := make(map[string]int)      // identifier → occurrences
-	defs := make(map[string][]string) // identifier → qualified internal definitions
+	uses := make(map[string]int)    // identifier → occurrences
+	defs := make(map[string]string) // identifier → qualified internal definition
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -90,7 +90,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 			if fn.Recv != nil {
 				key = f.Name.Name + "." + receiverType(fn.Recv.List[0].Type) + "." + fn.Name.Name
 			}
-			defs[fn.Name.Name] = append(defs[fn.Name.Name], key)
+			defs[fn.Name.Name] = key
 		}
 		return nil
 	})
@@ -99,9 +99,9 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	}
 
 	var uncalled []string
-	for name, keys := range defs {
-		if uses[name] == 1 {
-			uncalled = append(uncalled, keys[0])
+	for name, key := range defs {
+		if uses[name] == 1 { // the definition is the name's only occurrence
+			uncalled = append(uncalled, key)
 		}
 	}
 	sort.Strings(uncalled)
